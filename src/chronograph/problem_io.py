@@ -6,10 +6,14 @@ digits, dictionary keys are emitted sorted, and files are written atomically,
 so emitted documents are byte-stable under a load/emit round trip.
 """
 
+import functools
 import json
+import math
+import numbers
 import os
 import tempfile
 from importlib import resources
+from itertools import chain
 
 import jsonschema
 import numpy as np
@@ -28,14 +32,94 @@ class ProblemFileError(Exception):
         super().__init__("; ".join(self.messages))
 
 
-def _schema():
-    text = resources.files("chronograph").joinpath("problem.schema.json") \
-        .read_text(encoding="utf-8")
-    return json.loads(text)
+@functools.cache
+def _validator():
+    """Validator for the shipped skeleton schema, checked once per process."""
+    schema = json.loads(resources.files("chronograph")
+                        .joinpath("problem.schema.json")
+                        .read_text(encoding="utf-8"))
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+class _Prechecked:
+    """Validator-class stand-in that makes jsonschema.validate reuse _validator().
+
+    jsonschema.validate(doc, schema, cls) runs cls.check_schema(schema), a
+    metaschema check costing far more than validating a document skeleton,
+    and builds cls(schema) on every call. The cached validator's schema was
+    checked when it was built, so both steps reduce to a lookup.
+    """
+
+    @staticmethod
+    def check_schema(schema):
+        pass
+
+    def __new__(cls, schema):
+        return _validator()
+
+
+def _is_number(kind):
+    # the JSON schema "number" type, narrowed to real values
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def _first(items, pred):
+    return next(k for k, x in enumerate(items) if pred(x))
+
+
+def _numbers(value, path, errors, rows_ok=True):
+    """Float array of a JSON number list, or None after appending errors.
+
+    The skeleton schema promises only a list. Its entries must all be
+    numbers or, when rows_ok, all rows (lists) of one non-zero length whose
+    entries are numbers; every number must be finite. Each message names
+    the JSON path of the offending entry or row.
+    """
+    is_row = [issubclass(t, list) for t in set(map(type, value))]
+    nested = rows_ok and any(is_row)
+    if nested and not all(is_row):
+        depth = isinstance(value[0], list)
+        k = _first(value, lambda x: isinstance(x, list) != depth)
+        errors.append(f"{path}/{k}: mixed depth, a "
+                      + ("number among rows" if depth else "row among numbers"))
+        return None
+    if nested:
+        width = len(value[0])
+        if width == 0 or set(map(len, value)) != {width}:
+            k = _first(value, lambda row: not row or len(row) != width)
+            errors.append(f"{path}/{k}: empty row" if not value[k] else
+                          f"{path}/{k}: ragged rows, length {len(value[k])} "
+                          f"!= {width} at {path}/0")
+            return None
+        entries = chain.from_iterable(value)
+    else:
+        entries = value
+    if not all(map(_is_number, set(map(type, entries)))):
+        flat = list(chain.from_iterable(value)) if nested else value
+        k = _first(flat, lambda x: not _is_number(type(x)))
+        where = f"{k // width}/{k % width}" if nested else str(k)
+        errors.append(f"{path}/{where}: {flat[k]!r} is not of type 'number'")
+        return None
+    try:
+        arr = np.array(value, dtype=float)
+    except OverflowError:
+        errors.append(f"{path}: a number is out of float range")
+        return None
+    finite = np.isfinite(arr)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0])
+        errors.append(f"{path}/{'/'.join(map(str, at))}: "
+                      f"{arr[at]} is not finite")
+        return None
+    return arr
 
 
 def _matrix(value, rows, cols, where, errors):
-    arr = np.asarray(value, dtype=float)
+    arr = _numbers(value, where, errors)
+    if arr is None:
+        return np.zeros((rows, cols))
     if arr.ndim == 1:
         if arr.size != rows * cols:
             errors.append(f"{where}: flat matrix length {arr.size} != {rows * cols}")
@@ -50,11 +134,13 @@ def _matrix(value, rows, cols, where, errors):
 def load_problem_dict(doc):
     """Build (problem, mode, options) from a parsed problem document.
 
-    Raises ProblemFileError with every collected message when the document is
-    structurally invalid or fails the model's own validation.
+    The schema checks the document skeleton; the numeric arrays are checked
+    here as they are converted. Raises ProblemFileError with every collected
+    message when the document is structurally invalid or fails the model's
+    own validation.
     """
     try:
-        jsonschema.validate(doc, _schema())
+        jsonschema.validate(doc, _validator().schema, cls=_Prechecked)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "document"
         raise ProblemFileError([f"{path}: {exc.message}"]) from exc
@@ -68,49 +154,64 @@ def load_problem_dict(doc):
     steps = {}
     forcing_map = {}
     for k, e in enumerate(doc["edges"]):
+        where = f"edges/{k}"
         eid = e["id"]
         edges.append(eid)
-        lengths[eid] = float(e["length"])
+        try:
+            lengths[eid] = float(e["length"])
+        except OverflowError:
+            lengths[eid] = math.inf
+        if not math.isfinite(lengths[eid]):
+            errors.append(f"{where}/length: {lengths[eid]} is not finite")
         d = int(e["dim"])
         dims[eid] = d
         steps[eid] = int(e.get("steps", 100))
         operators.append(EdgeOperator(
-            eid, _matrix(e["A"], d, d, f"edges[{k}].A", errors)))
+            eid, _matrix(e["A"], d, d, f"{where}/A", errors)))
         if "g" in e:
-            vec = np.asarray(e["g"], dtype=float)
-            if vec.shape != (d,):
-                errors.append(f"edges[{k}].g: length {vec.size} != {d}")
+            vec = _numbers(e["g"], f"{where}/g", errors, rows_ok=False)
+            if vec is None:
+                pass
+            elif vec.shape != (d,):
+                errors.append(f"{where}/g: length {vec.size} != {d}")
             else:
                 g[eid] = vec
         f = e.get("f", {"kind": "zero"})
         kind = f["kind"]
-        if kind == "constant":
-            val = np.asarray(f.get("value", []), dtype=float)
+        val = _numbers(f.get("value", []), f"{where}/f/value", errors)
+        if val is None:
+            pass
+        elif kind == "constant":
             if val.shape != (d,):
-                errors.append(f"edges[{k}].f.value: length {val.size} != {d}")
+                errors.append(f"{where}/f/value: length {val.size} != {d}")
             else:
                 forcing_map[eid] = ConstantForcing(val)
         elif kind == "samples":
-            val = np.asarray(f.get("value", []), dtype=float)
             if val.ndim == 1:
                 val = val[:, None]
             if val.shape != (steps[eid] + 1, d):
                 errors.append(
-                    f"edges[{k}].f.value: samples shape {val.shape} != "
+                    f"{where}/f/value: samples shape {val.shape} != "
                     f"({steps[eid] + 1}, {d})")
             else:
                 forcing_map[eid] = SampledForcing(val)
         # zero forcing: omit the entry
 
     blocks = {}
+    first = {}
     known = set(edges)
     for k, b in enumerate(doc.get("blocks", [])):
         i, j = b["to"], b["from"]
         if i not in known or j not in known:
-            errors.append(f"blocks[{k}]: unknown edge pair ({j!r} -> {i!r})")
+            errors.append(f"blocks/{k}: unknown edge pair ({j!r} -> {i!r})")
             continue
+        if (i, j) in first:
+            errors.append(f"blocks/{k}: duplicate block ({j!r} -> {i!r}), "
+                          f"already given as blocks/{first[(i, j)]}")
+            continue
+        first[(i, j)] = k
         blocks[(i, j)] = _matrix(b["matrix"], dims[i], dims[j],
-                                 f"blocks[{k}].matrix", errors)
+                                 f"blocks/{k}/matrix", errors)
     if errors:
         raise ProblemFileError(errors)
 
