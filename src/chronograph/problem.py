@@ -262,7 +262,8 @@ def diagnose(problem):
     sufficient_condition_met reflects the two sufficient invertibility
     conditions: all margins <= 0 with ||B|| < 1, or margins uniformly negative
     with ||B|| <= 1.  It is informational; solvability itself rests on the
-    monodromy conditioning.
+    monodromy conditioning, which has the solver's definition
+    sigma_min / max(1, sigma_max) of I - B E.
     """
     gr = problem.graph
     mu = {e: numerical_abscissa(problem.operator(e)) for e in gr.edges}
@@ -275,7 +276,7 @@ def diagnose(problem):
         d = gr.dims[e]
         E[s:s + d, s:s + d] = matfun.expm(problem.operator(e), gr.lengths[e])
     M = np.eye(n, dtype=complex) - problem.B.assemble(gr) @ E
-    rcond = matfun.rcond_estimate(M)
+    rcond = matfun.rcond_identity_scale(M)
     worst = max(mu.values())
     met = (worst <= 0.0 and B_norm < 1.0) or \
           (worst < 0.0 and B_norm <= 1.0 + _NORM_ONE_SLACK)

@@ -280,12 +280,11 @@ def verify_mapping_properties(report, problem, strict=False):
     # nodes), boundary inverse, transmission norm
     amax = max(float(gr.lengths[e]) for e in gr.edges)
     Emax = 0.0
-    for e in gr.edges:
-        _, Eh, _, _ = solver._edge_step_operators(problem, e)
+    for e, rec in solver.edge_recurrences(problem).items():
         power = np.eye(gr.dims[e], dtype=complex)
         for _ in range(problem.steps_for(e)):
             Emax = max(Emax, float(np.linalg.norm(power, np.inf)))
-            power = Eh @ power
+            power = rec.Eh @ power
         Emax = max(Emax, float(np.linalg.norm(power, np.inf)))
     Minv_norm = float(np.linalg.norm(np.linalg.inv(mono.M), np.inf))
     B_inf = float(np.linalg.norm(B, np.inf))

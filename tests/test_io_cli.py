@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from chronograph import cli, problem_io, scenarios
+from chronograph import cli, problem_io, scenarios, solver
 from chronograph.problem_io import (ProblemFileError, atomic_write,
                                     canonical_json, format_number,
                                     load_problem_dict, load_problem_file,
@@ -173,6 +174,46 @@ def test_solution_csv_pads_mixed_dimensions():
     assert row[3] == "" and row[5] == ""  # narrow edge leaves padding empty
 
 
+def per_value_solution_csv(report):
+    """Reference writer: one format_number call per value."""
+    dmax = max(report.solutions[e].states.shape[1] for e in report.edge_order)
+    header = (["edge_id", "t"]
+              + [f"re_{k}" for k in range(dmax)]
+              + [f"im_{k}" for k in range(dmax)])
+    lines = [",".join(header)]
+    for e in report.edge_order:
+        sol = report.solutions[e]
+        pad = [""] * (dmax - sol.states.shape[1])
+        for t, state in zip(sol.times, sol.states):
+            row = ([str(e), format_number(float(t))]
+                   + [format_number(x) for x in state.real] + pad
+                   + [format_number(x) for x in state.imag] + pad)
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_solution_csv_matches_per_value_writer_on_presets():
+    for sid in scenarios.SCENARIO_IDS:
+        rep = solver.solve(preset(sid))
+        assert solution_csv(rep) == per_value_solution_csv(rep), sid
+
+
+def test_solution_csv_matches_per_value_writer_on_edge_values():
+    tiny = 5e-324  # smallest subnormal
+    wide = np.array([[complex(-0.0, -0.0), -0.0, 2.5e-310 - 1j * tiny],
+                     [1e300 + 1e-300j, -1e-300 - 1e300j, math.inf],
+                     [-math.inf * 1j, 0.1 + 1j / 3, -7.0]])
+    narrow = np.array([[-0.0], [tiny], [complex(-math.inf, 1.0)]])
+    times = np.array([-0.0, 0.5, 1.0])
+    sols = {"a%d%%s": solver.EdgeSolution("a%d%%s", times, narrow, narrow[0]),
+            7: solver.EdgeSolution(7, times, wide, wide[0])}
+    rep = solver.SolveReport(sols, ("a%d%%s", 7), 0.0, 0.0, 0.0, 1.0, False,
+                             0.0)
+    text = solution_csv(rep)
+    assert text == per_value_solution_csv(rep)
+    assert text.split("\n")[1] == "a%d%%s,0,0,,,0,,"
+
+
 def make_problem_file(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -214,6 +255,46 @@ def test_cli_singular_problem_exits_two(tmp_path, capsys):
     path = make_problem_file(tmp_path, doc)
     assert cli.main(["solve", path, "--out", str(tmp_path)]) == 2
     assert "singular" in capsys.readouterr().err
+
+
+def test_cli_overflowing_propagator_exits_one_naming_the_edge(tmp_path,
+                                                             capsys):
+    doc = {"edges": [{"id": 0, "length": 10, "dim": 1, "A": [[80]],
+                      "g": [1.0]}],
+           "blocks": [{"from": 0, "to": 0, "matrix": [[0.5]]}]}
+    path = make_problem_file(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: edge 0 (length 10.0): the propagator "
+                   "e^(length A) is not finite\n")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_cli_overflowing_coupling_exits_one_naming_the_block(tmp_path,
+                                                             capsys):
+    # e^700 and 1e300 are finite, their product is not
+    doc = {"edges": [{"id": 0, "length": 1, "dim": 1, "A": [[700]],
+                      "g": [1.0]}],
+           "blocks": [{"from": 0, "to": 0, "matrix": [[1e300]]}]}
+    path = make_problem_file(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: block (0 -> 0): B E is not finite; the block times the "
+        "propagator of edge 0 overflows\n")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_report_carries_one_monodromy_rcond(tmp_path):
+    for sid in scenarios.SCENARIO_IDS:
+        out = tmp_path / sid
+        assert cli.run_scenario(sid, out_dir=str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["hypotheses"]["monodromy_rcond"] \
+            == report["monodromy_rcond"], sid
 
 
 def test_cli_scenario_writes_problem_and_outputs(tmp_path):

@@ -1,16 +1,16 @@
+import dataclasses
 import math
-import os
-from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
-from chronograph import solver
+from chronograph import matfun, scenarios, solver
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  SampledForcing, TimeGraphProblem,
-                                 TransmissionOperator)
+                                 TransmissionOperator, forcing_node_values)
 from conftest import preset
 
 
@@ -147,29 +147,74 @@ def test_report_trace_views():
                         rep.solutions[1].states[-1, 0]])
 
 
-def test_thread_count_respects_environment():
-    with mock.patch.dict(os.environ, {"CHRONOGRAPH_THREADS": "3"}):
-        assert solver._thread_count() == 3
-    with mock.patch.dict(os.environ, {"CHRONOGRAPH_THREADS": "bogus"}):
-        assert solver._thread_count() == 1
-    with mock.patch.dict(os.environ, {}, clear=True):
-        assert solver._thread_count() == 1
+def sequential_states(problem, edge, start):
+    """The recurrence x[k+1] = Eh x[k] + Q1 f[k] + Q2 (f[k+1] - f[k]), one
+    step at a time from fresh step operators."""
+    K = problem.steps_for(edge)
+    h = float(problem.graph.lengths[edge]) / K
+    Eh, P1, P2 = matfun.expm_phi12(problem.operator(edge), h)
+    f = forcing_node_values(problem, edge)
+    states = np.empty((K + 1, len(start)), dtype=complex)
+    states[0] = start
+    for k in range(K):
+        states[k + 1] = (Eh @ states[k] + h * P1 @ f[k]
+                         + h * P2 @ (f[k + 1] - f[k]))
+    return states
 
 
-def test_threaded_solve_matches_serial():
-    p = preset("multi_loop")
-    serial = solver.solve(p)
-    with mock.patch.dict(os.environ, {"CHRONOGRAPH_THREADS": "4"}):
-        threaded = solver.solve(p)
-    for e in p.graph.edges:
-        assert np.array_equal(serial.solutions[e].states,
-                              threaded.solutions[e].states)
+@given(st.integers(1, 8),
+       st.sampled_from([1, 2, 3, 5, 6, 7, 12, 31, 33, 100, 127, 129, 250]),
+       st.floats(-1.0, 1.0), st.integers(0, 10 ** 6))
+def test_scan_matches_sequential_recurrence(d, K, growth, seed):
+    # non-normal A (large strictly upper part) shifted so that its spectral
+    # abscissa is `growth`: the flow grows mildly or decays
+    rng = np.random.default_rng(seed)
+    A = (rng.standard_normal((d, d))
+         + 3.0 * np.triu(rng.standard_normal((d, d)), 1))
+    A += (growth - np.max(np.linalg.eigvals(A).real)) * np.eye(d)
+    samples = rng.standard_normal((K + 1, d))
+    p = TimeGraphProblem(
+        TimeGraph((0,), {0: 1.0}, {0: d}), (EdgeOperator(0, A),),
+        TransmissionOperator({}), {0: rng.standard_normal(d)},
+        Forcing({0: SampledForcing(samples)}), {0: K})
+    got = solver.solve(p).solutions[0].states
+    want = sequential_states(p, 0, got[0])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_one_step_defect_detects_a_perturbed_state():
+    for sid in scenarios.SCENARIO_IDS:
+        p = preset(sid)
+        recurrences = solver.edge_recurrences(p)
+        rep = solver.solve(p)
+        assert rep.ode_residual <= 1e-11, sid
+        assert solver._one_step_defect(rep.solutions, recurrences) \
+            == rep.ode_residual, sid
+        e = p.graph.edges[0]
+        sol = rep.solutions[e]
+        states = sol.states.copy()
+        states[len(states) // 2, 0] += 1e-6
+        bad = dict(rep.solutions)
+        bad[e] = dataclasses.replace(sol, states=states)
+        assert solver._one_step_defect(bad, recurrences) > 1e-8, sid
+
+
+def test_overflowing_step_operator_names_the_edge():
+    # one step spans the whole edge, so the step operator e^{hA} overflows
+    # just as the propagator does; the solve reports the propagator first
+    p = TimeGraphProblem(
+        TimeGraph(("a",), {"a": 10.0}, {"a": 1}),
+        (EdgeOperator("a", [[80.0]]),),
+        TransmissionOperator({}), {"a": np.array([1.0])}, steps={"a": 1})
+    with pytest.raises(ValueError, match=r"^edge 'a' \(length 10\.0\): "
+                       r"a step operator for h = 10\.0 is not finite$"):
+        solver.edge_recurrences(p)
 
 
 def test_composite_simpson_quadrature():
     f = lambda x: x ** 3 - 2.0 * x
     exact = 1.0 / 4.0 - 1.0  # integral over [0, 1]
-    for n in (2, 5, 8, 9):
+    for n in (2, 3, 5, 8, 9):
         xs = np.linspace(0.0, 1.0, n + 1)
         got = solver._composite_simpson(f(xs), 1.0 / n)
         assert abs(got - exact) <= 1e-14  # degree-3 exactness
