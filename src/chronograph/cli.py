@@ -97,8 +97,8 @@ def _solvability_dict(problem):
     }
 
 
-def _hypotheses_dict(problem):
-    h = diagnose(problem)
+def _hypotheses_dict(problem, mono):
+    h = diagnose(problem, mono)
     return {
         "dissipativity_margin": {str(e): _float(v)
                                  for e, v in h.dissipativity_margin.items()},
@@ -116,7 +116,7 @@ def _report_dict(problem, mode, report):
         "edges": [{"id": e, "dim": gr.dims[e], "length": _float(gr.lengths[e]),
                    "steps": problem.steps_for(e)} for e in gr.edges],
         "solvability": _solvability_dict(problem),
-        "hypotheses": _hypotheses_dict(problem),
+        "hypotheses": _hypotheses_dict(problem, report.monodromy),
         "residuals": {
             "boundary": _float(report.boundary_residual),
             "ode": _float(report.ode_residual),

@@ -40,6 +40,13 @@ class TimeGraph:
             pos += self.dims[e]
         return out
 
+    def dim_groups(self):
+        """Dimension -> edge ids of that dimension, in graph order."""
+        out = {}
+        for e in self.edges:
+            out.setdefault(self.dims[e], []).append(e)
+        return out
+
 
 @dataclass(frozen=True)
 class BlockPattern:
@@ -149,21 +156,27 @@ def _strongly_connected_components(n, adj):
 def _shortest_cycle(component, adj):
     """Shortest directed cycle inside one strongly connected component.
 
-    BFS from every member in ascending order; ties keep the earlier start, so
-    the witness is reproducible.  The returned list follows receives-from arcs:
-    consecutive entries (cyclically) are (i, j) pairs of the pattern.
+    Every cycle is found by the BFS from its smallest member, so the BFS from
+    s visits only members >= s, and it stops once the cycles it could still
+    close are no shorter than the best one so far.  Starts run in ascending
+    order and only a strictly shorter cycle replaces the best, so the witness
+    is the first shortest cycle found from the smallest possible start: it is
+    reproducible.  The returned list follows receives-from arcs: consecutive
+    entries (cyclically) are (i, j) pairs of the pattern.
     """
     members = set(component)
     best = None
     for s in sorted(component):
         parent = {s: None}
         frontier = [s]
+        length = 1  # of a cycle closed by an arc from the frontier to s
         found = None
-        while frontier and found is None:
+        while frontier and found is None and (best is None
+                                              or length < len(best)):
             nxt = []
             for v in frontier:
                 for w in adj[v]:
-                    if w not in members:
+                    if w < s or w not in members:
                         continue
                     if w == s:
                         found = v
@@ -174,14 +187,14 @@ def _shortest_cycle(component, adj):
                 if found is not None:
                     break
             frontier = nxt
+            length += 1
         if found is None:
             continue
         path = [found]
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
         path.reverse()  # s ... found, following arcs forward
-        if best is None or len(path) < len(best):
-            best = path
+        best = path
     return tuple(best) if best is not None else None
 
 

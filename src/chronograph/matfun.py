@@ -33,48 +33,26 @@ def _as_square(A):
     return A
 
 
-# Pade-13 numerator coefficients for the diagonal approximant of exp.
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-# Scaling threshold so that the order-13 approximant is accurate to unit
-# roundoff (Higham's theta_13).
-_THETA13 = 5.371920351148152
-
-
 def expm(A, t=1.0):
-    """Matrix exponential e^{tA} by scaling and squaring with Pade-13.
+    """Matrix exponential e^{tA} of one matrix (n, n) or of a stack (k, n, n).
 
-    Exact (to roundoff) for diagonal and nilpotent inputs; target accuracy
-    1e-12 relative in the spectral norm for ||tA|| up to ~50.
+    scipy's scaling and squaring (Al-Mohy & Higham, "A new scaling and
+    squaring algorithm for the matrix exponential", SIMAX 31(3), 2009).
+    Non-finite input, or a product tA that overflows, raises ValueError.
+    scipy exponentiates diagonal input entrywise, so a zero matrix maps to
+    the exact identity.
     """
-    A = _as_square(A)
-    n = A.shape[0]
+    A = np.asarray(A, dtype=complex)
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, "
+                         f"got shape {A.shape}")
     if not np.all(np.isfinite(A)) or not np.isfinite(t):
         raise ValueError("non-finite entries in matrix exponential input")
-    B = t * A
-    norm = np.linalg.norm(B, 1)
-    if norm == 0.0:
-        return np.eye(n, dtype=complex)  # exact, avoids solver roundoff
-    s = 0
-    if norm > _THETA13:
-        s = int(np.ceil(np.log2(norm / _THETA13)))
-        B = B / (2.0 ** s)
-    I = np.eye(n, dtype=complex)
-    B2 = B @ B
-    B4 = B2 @ B2
-    B6 = B2 @ B4
-    b = _PADE13
-    U = B @ (B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
-             + b[7] * B6 + b[5] * B4 + b[3] * B2 + b[1] * I)
-    V = (B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
-         + b[6] * B6 + b[4] * B4 + b[2] * B2 + b[0] * I)
-    E = la.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
-    return E
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = t * A
+    if not np.all(np.isfinite(B)):
+        raise ValueError("matrix exponential input t A overflows")
+    return la.expm(B)
 
 
 def expm_phi12(A, h):
@@ -83,28 +61,18 @@ def expm_phi12(A, h):
     phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2, extended by their
     limits at z = 0.  The triple is read off the top block row of
     exp([[hA, I, 0], [0, 0, I], [0, 0, 0]]), so singular A needs no special
-    casing.
+    casing.  A may be a stack (k, n, n); so is each returned array.
     """
-    A = _as_square(A)
+    A = np.asarray(A, dtype=complex)
     if not h > 0:
         raise ValueError("step h must be positive")
-    n = A.shape[0]
-    W = np.zeros((3 * n, 3 * n), dtype=complex)
-    W[:n, :n] = h * A
-    W[:n, n:2 * n] = np.eye(n)
-    W[n:2 * n, 2 * n:] = np.eye(n)
+    n = A.shape[-1]
+    W = np.zeros(A.shape[:-2] + (3 * n, 3 * n), dtype=complex)
+    W[..., :n, :n] = h * A
+    W[..., :n, n:2 * n] = np.eye(n)
+    W[..., n:2 * n, 2 * n:] = np.eye(n)
     Ew = expm(W)
-    return Ew[:n, :n], Ew[:n, n:2 * n], Ew[:n, 2 * n:]
-
-
-def phi1(A, h):
-    """phi1(hA) = (hA)^{-1}(e^{hA} - I), by limits where hA is singular."""
-    return expm_phi12(A, h)[1]
-
-
-def phi2(A, h):
-    """phi2(hA) = (hA)^{-2}(e^{hA} - I - hA), by limits where hA is singular."""
-    return expm_phi12(A, h)[2]
+    return Ew[..., :n, :n], Ew[..., :n, n:2 * n], Ew[..., :n, 2 * n:]
 
 
 def rcond_estimate(M):
@@ -178,8 +146,3 @@ def funm_hermitian(E, f):
     fw = np.asarray([f(x) for x in E.eigenvalues], dtype=complex)
     return (V * fw) @ V.conj().T
 
-
-def spectral_radius(A):
-    """max |lambda| over the eigenvalues of A."""
-    A = _as_square(A)
-    return float(np.max(np.abs(np.linalg.eigvals(A))))

@@ -12,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import matfun
 from .graph import TimeGraph
 
 
@@ -52,7 +51,55 @@ class TransmissionOperator:
 
     def norm(self, graph):
         """Operator 2-norm (largest singular value) of the assembled matrix."""
-        return float(np.linalg.norm(self.assemble(graph), 2))
+        return block_norm(graph, self.blocks)
+
+
+def _local_offsets(graph, edges, pos):
+    """Offsets of the edges' blocks stacked in graph order, and their total
+    size."""
+    out = {}
+    size = 0
+    for e in sorted(edges, key=pos.__getitem__):
+        out[e] = size
+        size += graph.dims[e]
+    return out, size
+
+
+def block_norm(graph, blocks):
+    """2-norm of the block matrix over the stacked boundary space whose
+    nonzero blocks are `blocks` ((row edge, column edge) -> matrix).
+
+    Blocks that share a row or a column edge are joined into connected
+    components.  Up to row and column permutations the matrix is the direct
+    sum of the components' submatrices, so its norm is the largest of
+    theirs; no n x n matrix is formed.
+    """
+    parent = {}
+
+    def root(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in blocks:
+        parent[root(("row", i))] = root(("col", j))
+    components = {}
+    for i, j in blocks:
+        components.setdefault(root(("row", i)), []).append((i, j))
+    pos = {e: k for k, e in enumerate(graph.edges)}
+    by_shape = {}
+    for keys in components.values():
+        r_off, rows = _local_offsets(graph, {i for i, _ in keys}, pos)
+        c_off, cols = _local_offsets(graph, {j for _, j in keys}, pos)
+        sub = np.zeros((rows, cols), dtype=complex)
+        for i, j in keys:
+            sub[r_off[i]:r_off[i] + graph.dims[i],
+                c_off[j]:c_off[j] + graph.dims[j]] = blocks[(i, j)]
+        by_shape.setdefault(sub.shape, []).append(sub)
+    return max((float(np.max(np.linalg.norm(np.stack(subs), 2, axis=(1, 2))))
+                for subs in by_shape.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -111,11 +158,21 @@ class TimeGraphProblem:
             e: np.asarray(v, dtype=complex).reshape(-1)
             for e, v in self.g.items()})
 
-    def operator(self, edge):
+        index = {}  # first operator per edge wins; validate reports duplicates
         for op in self.operators:
-            if op.edge == edge:
-                return op.A
-        raise KeyError(f"no operator for edge {edge!r}")
+            index.setdefault(op.edge, op.A)
+        object.__setattr__(self, "_operator_index", index)
+
+    def operator(self, edge):
+        try:
+            return self._operator_index[edge]
+        except KeyError:
+            raise KeyError(f"no operator for edge {edge!r}") from None
+
+    def operator_stack(self, edges):
+        """The operators of the given edges (all of one dimension) stacked
+        into one (len(edges), d, d) array."""
+        return np.stack([self.operator(e) for e in edges])
 
     def steps_for(self, edge):
         return int(self.steps.get(edge, 100))
@@ -164,7 +221,8 @@ def validate(problem):
     """Structural consistency check; returns a list of violations, never raises."""
     v = []
     gr = problem.graph
-    if len(set(gr.edges)) != len(gr.edges):
+    edges = set(gr.edges)
+    if len(edges) != len(gr.edges):
         v.append("graph.edges: duplicate edge ids")
     for e in gr.edges:
         if e not in gr.lengths or not float(gr.lengths[e]) > 0:
@@ -173,7 +231,7 @@ def validate(problem):
             v.append(f"graph.dims[{e!r}]: must be >= 1")
     seen = set()
     for op in problem.operators:
-        if op.edge not in gr.edges:
+        if op.edge not in edges:
             v.append(f"operators[{op.edge!r}]: unknown edge")
             continue
         if op.edge in seen:
@@ -186,24 +244,24 @@ def validate(problem):
         if e not in seen:
             v.append(f"operators[{e!r}]: missing")
     for (i, j), m in problem.B.blocks.items():
-        if i not in gr.edges or j not in gr.edges:
+        if i not in edges or j not in edges:
             v.append(f"B[{i!r},{j!r}]: unknown edge pair")
             continue
         want = (gr.dims[i], gr.dims[j])
         if m.shape != want:
             v.append(f"B[{i!r},{j!r}]: shape {m.shape} != {want}")
     for e, vec in problem.g.items():
-        if e not in gr.edges:
+        if e not in edges:
             v.append(f"g[{e!r}]: unknown edge")
         elif vec.shape != (gr.dims[e],):
             v.append(f"g[{e!r}]: length {vec.shape[0]} != {gr.dims[e]}")
     for e, k in problem.steps.items():
-        if e not in gr.edges:
+        if e not in edges:
             v.append(f"steps[{e!r}]: unknown edge")
         elif int(k) < 1:
             v.append(f"steps[{e!r}]: must be >= 1")
     for e, spec in problem.forcing.per_edge.items():
-        if e not in gr.edges:
+        if e not in edges:
             v.append(f"forcing[{e!r}]: unknown edge")
             continue
         d = gr.dims[e]
@@ -217,9 +275,12 @@ def validate(problem):
 
 
 def numerical_abscissa(A):
-    """Largest eigenvalue of the Hermitian part (A + A*)/2."""
+    """Largest eigenvalue of the Hermitian part (A + A*)/2; for a stack
+    (k, n, n), an array of one per matrix."""
     A = np.asarray(A, dtype=complex)
-    return float(np.max(np.linalg.eigvalsh(0.5 * (A + A.conj().T))))
+    H = 0.5 * (A + np.swapaxes(A.conj(), -2, -1))
+    top = np.linalg.eigvalsh(H)[..., -1]  # eigenvalues ascend
+    return float(top) if top.ndim == 0 else top
 
 
 def stack_edge_values(graph, mapping):
@@ -235,50 +296,34 @@ def stack_edge_values(graph, mapping):
     return out
 
 
-def assemble_K_vector(problem, which, values=None):
-    """Stack per-edge boundary data into a single vector, graph edge order.
-
-    which = "g" uses the problem's inhomogeneity (zero where unset);
-    which = "minus_traces" stacks caller-supplied initial traces passed via
-    `values` (the problem itself carries no solution traces).
-    """
-    if which == "g":
-        return stack_edge_values(problem.graph, problem.g)
-    if which == "minus_traces":
-        if values is None:
-            raise ValueError("minus_traces stacking needs per-edge values")
-        return stack_edge_values(problem.graph, values)
-    raise ValueError(f"unknown selector {which!r}")
-
-
 # Slack for the non-strict contraction branch; guards against roundoff in the
 # singular value of an exactly norm-one transmission operator.
 _NORM_ONE_SLACK = 1e-12
 
 
-def diagnose(problem):
+def diagnose(problem, mono=None):
     """Hypothesis diagnostics: dissipativity margins, ||B||, monodromy conditioning.
 
     sufficient_condition_met reflects the two sufficient invertibility
     conditions: all margins <= 0 with ||B|| < 1, or margins uniformly negative
     with ||B|| <= 1.  It is informational; solvability itself rests on the
-    monodromy conditioning, which has the solver's definition
-    sigma_min / max(1, sigma_max) of I - B E.
+    monodromy conditioning, mono.rcond, the solver's
+    sigma_min / max(1, sigma_max) of I - B E.  Pass the solve's Monodromy;
+    without it the monodromy is assembled here.
     """
+    from .solver import assemble_monodromy  # solver imports this module
+
+    if mono is None:
+        mono = assemble_monodromy(problem)
     gr = problem.graph
-    mu = {e: numerical_abscissa(problem.operator(e)) for e in gr.edges}
+    mu = {}
+    for edges in gr.dim_groups().values():
+        mu.update(zip(edges, numerical_abscissa(
+            problem.operator_stack(edges)).tolist()))
+    mu = {e: mu[e] for e in gr.edges}
     B_norm = problem.B.norm(gr)
-    off = gr.offsets()
-    n = gr.size()
-    E = np.zeros((n, n), dtype=complex)
-    for e in gr.edges:
-        s = off[e]
-        d = gr.dims[e]
-        E[s:s + d, s:s + d] = matfun.expm(problem.operator(e), gr.lengths[e])
-    M = np.eye(n, dtype=complex) - problem.B.assemble(gr) @ E
-    rcond = matfun.rcond_identity_scale(M)
     worst = max(mu.values())
     met = (worst <= 0.0 and B_norm < 1.0) or \
           (worst < 0.0 and B_norm <= 1.0 + _NORM_ONE_SLACK)
     eps = -worst if worst < 0.0 else None
-    return HypothesisReport(mu, B_norm, rcond, bool(met), eps)
+    return HypothesisReport(mu, B_norm, mono.rcond, bool(met), eps)

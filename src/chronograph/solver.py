@@ -20,11 +20,14 @@ the scan's arithmetic rather than repeating it.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+import scipy.linalg as la
 
 from . import matfun
-from .problem import forcing_node_values, stack_edge_values, validate
+from .problem import (block_norm, forcing_node_values, stack_edge_values,
+                      validate)
 
 MILD = "MILD"
 STRONG = "STRONG"
@@ -74,6 +77,7 @@ class SolveReport:
     monodromy_rcond: float
     ill_conditioned: bool
     commutator_norm: float           # || [blockdiag(A_j), B] ||, informational
+    monodromy: Optional[Monodromy] = None  # the solve's; None from the oracle
 
     def psi_minus(self):
         return np.concatenate(
@@ -90,27 +94,53 @@ def _require_valid(problem):
         raise ValueError("invalid problem: " + "; ".join(violations))
 
 
-def _require_finite(edge, length, what, *arrays):
-    """Reject an overflowed exponential, naming the edge and its length."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ValueError(f"edge {edge!r} (length {float(length)!r}): "
-                         f"{what} is not finite")
+def _require_finite(problem, edges, what, *stacks):
+    """Reject an overflowed stack of per-edge matrices, naming the first
+    offending edge and its length; what(edge) says what overflowed."""
+    ok = np.ones(len(edges), dtype=bool)
+    for stack in stacks:
+        ok &= np.isfinite(stack).all(axis=(-2, -1))
+    if not ok.all():
+        e = edges[int(np.argmin(ok))]
+        raise ValueError(f"edge {e!r} (length "
+                         f"{float(problem.graph.lengths[e])!r}): "
+                         f"{what(e)} is not finite")
+
+
+def _exponents(problem, factor, what):
+    """Per dim group: (edge ids, stack of factor[e] * A_e), each product
+    checked finite before it reaches an exponential."""
+    out = []
+    for edges in problem.graph.dim_groups().values():
+        scale = np.array([factor[e] for e in edges], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = scale[:, None, None] * problem.operator_stack(edges)
+        _require_finite(problem, edges, what, S)
+        out.append((edges, S))
+    return out
 
 
 def assemble_monodromy(problem):
-    """Block-diagonal terminal propagator and the boundary operator I - B E."""
+    """Block-diagonal terminal propagator and the boundary operator I - B E.
+
+    The propagators of all edges of one dimension come from one stacked
+    exponential; the SVD of I - B E here is the only n x n decomposition of
+    a solve.
+    """
     _require_valid(problem)
     gr = problem.graph
     off = gr.offsets()
     n = gr.size()
     E = np.zeros((n, n), dtype=complex)
-    for e in gr.edges:
+    for edges, tA in _exponents(problem, gr.lengths,
+                                lambda e: "the exponent length A"):
         with np.errstate(over="ignore", invalid="ignore"):
-            blk = matfun.expm(problem.operator(e), gr.lengths[e])
-        _require_finite(e, gr.lengths[e], "the propagator e^(length A)", blk)
-        s = off[e]
-        d = gr.dims[e]
-        E[s:s + d, s:s + d] = blk
+            blocks = matfun.expm(tA)
+        _require_finite(problem, edges, lambda e: "the propagator "
+                        "e^(length A)", blocks)
+        d = blocks.shape[-1]
+        idx = np.array([off[e] for e in edges])[:, None] + np.arange(d)
+        E[idx[:, :, None], idx[:, None, :]] = blocks
     with np.errstate(over="ignore", invalid="ignore"):
         M = np.eye(n, dtype=complex) - problem.B.assemble(gr) @ E
     if not np.all(np.isfinite(M)):
@@ -130,22 +160,27 @@ class EdgeRecurrence:
     b: np.ndarray   # (steps, dim) increments from the forcing
 
 
-def _edge_recurrence(problem, edge):
-    A = problem.operator(edge)
-    length = problem.graph.lengths[edge]
-    h = float(length) / problem.steps_for(edge)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Eh, P1, P2 = matfun.expm_phi12(A, h)
-    _require_finite(edge, length, f"a step operator for h = {h!r}",
-                    Eh, P1, P2)
-    f = forcing_node_values(problem, edge)
-    b = f[:-1] @ (h * P1).T + (f[1:] - f[:-1]) @ (h * P2).T
-    return EdgeRecurrence(Eh, b)
-
-
 def edge_recurrences(problem):
-    """Step operator and increments per edge: edge id -> EdgeRecurrence."""
-    return {e: _edge_recurrence(problem, e) for e in problem.graph.edges}
+    """Step operator and increments per edge: edge id -> EdgeRecurrence.
+
+    The (e^{hA}, phi1(hA), phi2(hA)) triples of all edges of one dimension
+    come from one stacked augmented exponential.
+    """
+    gr = problem.graph
+    h = {e: float(gr.lengths[e]) / problem.steps_for(e) for e in gr.edges}
+    out = {}
+    for edges, hA in _exponents(problem, h, lambda e: f"the exponent h A "
+                                f"for h = {h[e]!r}"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            Eh, P1, P2 = matfun.expm_phi12(hA, 1.0)
+        _require_finite(problem, edges, lambda e: f"a step operator for "
+                        f"h = {h[e]!r}", Eh, P1, P2)
+        for e, Eh_e, P1_e, P2_e in zip(edges, Eh, P1, P2):
+            f = forcing_node_values(problem, e)
+            b = (f[:-1] @ (h[e] * P1_e).T
+                 + (f[1:] - f[:-1]) @ (h[e] * P2_e).T)
+            out[e] = EdgeRecurrence(Eh_e, b)
+    return {e: out[e] for e in gr.edges}
 
 
 def _scan(rec, start):
@@ -186,16 +221,17 @@ def forced_terminal_integrals(problem, recurrences=None):
 
 
 def solve_boundary(problem, mono, F):
-    """Initial values on every edge: c = (I - B E)^{-1} (g + B F)."""
+    """Initial values on every edge: c = (I - B E)^{-1} (g + B F).
+
+    mono.rcond, sigma_min / max(1, sigma_max) of I - B E, is the only
+    conditioning gate; it bounds sigma_min / sigma_max from above, so no
+    second estimate could refuse a system this one accepts.
+    """
     g = stack_edge_values(problem.graph, problem.g)
     rhs = g + problem.B.assemble(problem.graph) @ F
     if mono.rcond < SINGULAR_RCOND:
         raise NotWellPosed(mono.rcond)
-    try:
-        c, _ = matfun.solve_linear(mono.M, rhs)
-    except matfun.SingularMatrix as exc:
-        raise NotWellPosed(exc.rcond) from exc
-    return c
+    return la.solve(mono.M, rhs)
 
 
 def _composite_simpson(values, h):
@@ -264,16 +300,13 @@ def _boundary_residual(problem, solutions):
 
 
 def _commutator_norm(problem):
-    gr = problem.graph
-    off = gr.offsets()
-    n = gr.size()
-    AV = np.zeros((n, n), dtype=complex)
-    for e in gr.edges:
-        s = off[e]
-        d = gr.dims[e]
-        AV[s:s + d, s:s + d] = problem.operator(e)
-    B = problem.B.assemble(gr)
-    return float(np.linalg.norm(AV @ B - B @ AV, 2))
+    """||[blockdiag(A_j), B]||_2.  The commutator's (i, j) block is
+    A_i B_ij - B_ij A_j, so it has B's block pattern and its norm is taken
+    block-sparsely."""
+    op = problem.operator
+    return block_norm(problem.graph, {
+        (i, j): op(i) @ m - m @ op(j)
+        for (i, j), m in problem.B.blocks.items()})
 
 
 def propagate(problem, c, mono=None, recurrences=None):
@@ -304,6 +337,7 @@ def propagate(problem, c, mono=None, recurrences=None):
         monodromy_rcond=mono.rcond,
         ill_conditioned=bool(mono.rcond < ILL_CONDITIONED_RCOND),
         commutator_norm=_commutator_norm(problem),
+        monodromy=mono,
     )
 
 

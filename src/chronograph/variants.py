@@ -221,6 +221,17 @@ def _metzler(A):
         np.min(off.real, initial=0.0) >= -_ENTRYWISE_TOL
 
 
+def _step_powers(Eh, K):
+    """The stack Eh^0, Eh^1, ..., Eh^K, formed by doubling: each round
+    multiplies every power so far by the next one, so it takes
+    ceil(log2(K + 1)) stacked products."""
+    powers = np.eye(Eh.shape[0], dtype=complex)[None]
+    while len(powers) <= K:
+        step = powers[-1] @ Eh
+        powers = np.concatenate([powers, powers[:K + 1 - len(powers)] @ step])
+    return powers
+
+
 def verify_mapping_properties(report, problem, strict=False):
     """Numerical verification of realness, positivity and the sup-norm bound.
 
@@ -279,13 +290,9 @@ def verify_mapping_properties(report, problem, strict=False):
     # sup bound from the solved operators' norms: propagator sup (over grid
     # nodes), boundary inverse, transmission norm
     amax = max(float(gr.lengths[e]) for e in gr.edges)
-    Emax = 0.0
-    for e, rec in solver.edge_recurrences(problem).items():
-        power = np.eye(gr.dims[e], dtype=complex)
-        for _ in range(problem.steps_for(e)):
-            Emax = max(Emax, float(np.linalg.norm(power, np.inf)))
-            power = rec.Eh @ power
-        Emax = max(Emax, float(np.linalg.norm(power, np.inf)))
+    Emax = max(float(np.max(np.sum(np.abs(
+        _step_powers(rec.Eh, problem.steps_for(e))), axis=-1)))
+        for e, rec in solver.edge_recurrences(problem).items())
     Minv_norm = float(np.linalg.norm(np.linalg.inv(mono.M), np.inf))
     B_inf = float(np.linalg.norm(B, np.inf))
     g_inf = float(np.max(np.abs(stack_edge_values(gr, problem.g)),

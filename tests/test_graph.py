@@ -124,3 +124,83 @@ def test_reported_ordering_is_a_valid_witness(pattern):
 def test_rejects_out_of_range_indices():
     with pytest.raises(ValueError):
         classify_solvability(BlockPattern(2, frozenset({(2, 0)})))
+
+
+def shortest_cycle_oracle(component, adj):
+    """The unpruned search: BFS from every member over the whole component,
+    keeping the first strictly shorter cycle."""
+    members = set(component)
+    best = None
+    for s in sorted(component):
+        parent = {s: None}
+        frontier = [s]
+        found = None
+        while frontier and found is None:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in members:
+                        continue
+                    if w == s:
+                        found = v
+                        break
+                    if w not in parent:
+                        parent[w] = v
+                        nxt.append(w)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is None:
+            continue
+        path = [found]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        path.reverse()
+        if best is None or len(path) < len(best):
+            best = path
+    return tuple(best) if best is not None else None
+
+
+def _cyclic_components(pattern):
+    adj = [[] for _ in range(pattern.n)]
+    for i, j in sorted(pattern.nonzero):
+        if i != j:
+            adj[i].append(j)
+    comps = graph._strongly_connected_components(pattern.n, adj)
+    return adj, [c for c in comps if len(c) >= 2]
+
+
+@st.composite
+def cyclic_patterns(draw):
+    n = draw(st.integers(2, 14))
+    density = draw(st.floats(0.05, 0.5))
+    seed = draw(st.integers(0, 10 ** 6))
+    r = np.random.default_rng(seed)
+    nz = {(i, j) for i in range(n) for j in range(n) if r.random() < density}
+    # a random ring through a random subset keeps most draws cyclic
+    ring = [int(k) for k in r.permutation(n)[:draw(st.integers(2, n))]]
+    nz |= {(ring[k], ring[k - 1]) for k in range(len(ring))}
+    return BlockPattern(n, frozenset(nz))
+
+
+@given(cyclic_patterns())
+def test_shortest_cycle_matches_unpruned_search(pattern):
+    adj, components = _cyclic_components(pattern)
+    assert components
+    for comp in components:
+        assert graph._shortest_cycle(comp, adj) == \
+            shortest_cycle_oracle(comp, adj)
+
+
+def test_shortest_cycle_on_a_600_ring_with_chords():
+    n = 600
+    nz = {(k, (k - 1) % n) for k in range(n)}
+    plain = BlockPattern(n, frozenset(nz))
+    chorded = BlockPattern(n, frozenset(nz | {(5, 300), (400, 450)}))
+    for pattern in (plain, chorded):
+        adj, components = _cyclic_components(pattern)
+        (comp,) = components
+        assert graph._shortest_cycle(comp, adj) == \
+            shortest_cycle_oracle(comp, adj)
+    rep = classify_solvability(plain)
+    assert rep.blocking_cycle == (0,) + tuple(range(n - 1, 0, -1))

@@ -272,6 +272,22 @@ def test_cli_overflowing_propagator_exits_one_naming_the_edge(tmp_path,
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_cli_overflowing_exponent_exits_one_naming_the_edge(tmp_path,
+                                                           capsys):
+    # A and length are finite, length A is not
+    doc = {"edges": [{"id": 0, "length": 1e10, "dim": 1, "A": [[-1e300]],
+                      "g": [1.0]}],
+           "blocks": [{"from": 0, "to": 0, "matrix": [[0.5]]}]}
+    path = make_problem_file(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: edge 0 (length 10000000000.0): the exponent "
+                   "length A is not finite\n")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_cli_overflowing_coupling_exits_one_naming_the_block(tmp_path,
                                                              capsys):
     # e^700 and 1e300 are finite, their product is not

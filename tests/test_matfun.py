@@ -54,6 +54,29 @@ def test_expm_large_norm_goes_through_squaring():
 
 def test_expm_zero_matrix_is_exactly_identity():
     assert np.array_equal(matfun.expm(np.zeros((3, 3))), np.eye(3))
+    # per matrix in a stack, for every size
+    for n in (1, 2, 3):
+        stack = np.stack([np.zeros((n, n)), random_complex(n, n=n),
+                          np.zeros((n, n))])
+        got = matfun.expm(stack, 0.3)
+        assert np.array_equal(got[0], np.eye(n))
+        assert np.array_equal(got[2], np.eye(n))
+        assert np.allclose(got[1], matfun.expm(stack[1], 0.3), rtol=0,
+                           atol=1e-15)
+
+
+def test_expm_of_a_stack_matches_each_matrix():
+    stack = np.stack([random_complex(seed, n=4, scale=3.0)
+                      for seed in range(5)])
+    got = matfun.expm(stack, 0.7)
+    for k in range(5):
+        want = reference_expm(stack[k], 0.7)
+        assert np.max(np.abs(got[k] - want)) <= 1e-12 * np.linalg.norm(want, 2)
+
+
+def test_expm_rejects_an_overflowing_product():
+    with pytest.raises(ValueError, match="overflows"):
+        matfun.expm(np.array([[-1e300]]), 1e10)
 
 
 def test_expm_scalar_and_diagonal():
@@ -109,6 +132,14 @@ def test_phi_triple_at_zero_operator():
     assert np.allclose(P2, 0.5 * np.eye(2), atol=1e-13)
 
 
+def test_phi_triple_of_a_stack_matches_each_matrix():
+    stack = np.stack([random_complex(seed, n=3, scale=2.0)
+                      for seed in range(4)])
+    for got, want in zip(matfun.expm_phi12(stack, 0.37),
+                         zip(*[matfun.expm_phi12(A, 0.37) for A in stack])):
+        assert np.array_equal(got, np.stack(want))
+
+
 @given(st.integers(0, 10 ** 6))
 def test_phi_recurrence_identities(seed):
     A = random_complex(seed, n=3, scale=2.0)
@@ -123,14 +154,7 @@ def test_phi_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         matfun.expm_phi12(np.eye(2), 0.0)
     with pytest.raises(ValueError):
-        matfun.phi1(np.eye(2), -1.0)
-
-
-def test_phi_shortcuts_match_triple():
-    A = random_complex(3, n=3)
-    _, P1, P2 = matfun.expm_phi12(A, 0.5)
-    assert np.array_equal(matfun.phi1(A, 0.5), P1)
-    assert np.array_equal(matfun.phi2(A, 0.5), P2)
+        matfun.expm_phi12(np.eye(2), -1.0)
 
 
 def test_solve_linear_and_rcond():
@@ -193,8 +217,3 @@ def test_funm_hermitian_square(rng):
     assert np.max(np.abs(got - H @ H)) <= 1e-12 * max(
         1.0, np.linalg.norm(H @ H, 2))
 
-
-def test_spectral_radius():
-    A = np.array([[0.0, 1.0], [-4.0, 0.0]])
-    assert abs(matfun.spectral_radius(A) - 2.0) <= 1e-12
-    assert matfun.spectral_radius(np.zeros((2, 2))) == 0.0

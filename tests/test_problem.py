@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  SampledForcing, TimeGraphProblem,
                                  TransmissionOperator, ZeroForcing,
-                                 assemble_K_vector, diagnose,
-                                 forcing_node_values, numerical_abscissa,
-                                 stack_edge_values, validate)
+                                 block_norm, diagnose, forcing_node_values,
+                                 numerical_abscissa, stack_edge_values,
+                                 validate)
 
 
 def scalar_problem(A=-1.0, B=1.0, g=None, f=1.0, steps=100, length=1.0):
@@ -119,17 +120,6 @@ def test_stack_edge_values_defaults_to_zero():
     assert np.allclose(out, [0.0, 1.0, 2.0])
 
 
-def test_assemble_K_vector():
-    p = scalar_problem(g=0.25)
-    assert np.allclose(assemble_K_vector(p, "g"), [0.25])
-    traces = assemble_K_vector(p, "minus_traces", values={0: np.array([3.0])})
-    assert np.allclose(traces, [3.0])
-    with pytest.raises(ValueError):
-        assemble_K_vector(p, "minus_traces")
-    with pytest.raises(ValueError):
-        assemble_K_vector(p, "nonsense")
-
-
 def test_transmission_assembly_and_norm():
     g = TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 1, 1: 2})
     B = TransmissionOperator({(1, 0): np.array([[1.0], [2.0]]),
@@ -139,6 +129,19 @@ def test_transmission_assembly_and_norm():
     assert dense[0, 0] == 0.5
     assert np.allclose(dense[1:, 0], [1.0, 2.0])
     assert abs(B.norm(g) - np.linalg.norm(dense, 2)) <= 1e-14
+
+
+@given(st.integers(1, 6), st.floats(0.1, 0.9), st.integers(0, 10 ** 6))
+def test_block_norm_matches_dense_norm(n, density, seed):
+    r = np.random.default_rng(seed)
+    dims = {e: int(r.integers(1, 4)) for e in range(n)}
+    g = TimeGraph(tuple(range(n)), {e: 1.0 for e in range(n)}, dims)
+    B = TransmissionOperator({
+        (i, j): r.standard_normal((dims[i], dims[j]))
+        + 1j * r.standard_normal((dims[i], dims[j]))
+        for i in range(n) for j in range(n) if r.random() < density})
+    dense = np.linalg.norm(B.assemble(g), 2)
+    assert abs(block_norm(g, B.blocks) - dense) <= 1e-13 * max(dense, 1.0)
 
 
 def test_diagnose_strict_dissipativity_with_unit_coupling():

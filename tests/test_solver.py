@@ -1,12 +1,16 @@
+import collections
 import dataclasses
+import json
 import math
+import warnings
 
 import numpy as np
+import numpy.linalg._linalg
 import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from chronograph import matfun, scenarios, solver
+from chronograph import cli, matfun, scenarios, solver
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  SampledForcing, TimeGraphProblem,
@@ -211,6 +215,24 @@ def test_overflowing_step_operator_names_the_edge():
         solver.edge_recurrences(p)
 
 
+def test_overflowing_step_exponent_names_the_edge():
+    p = TimeGraphProblem(
+        TimeGraph(("a",), {"a": 1e10}, {"a": 1}),
+        (EdgeOperator("a", [[-1e300]]),),
+        TransmissionOperator({}), {"a": np.array([1.0])}, steps={"a": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as step:
+            solver.edge_recurrences(p)
+        with pytest.raises(ValueError) as propagator:
+            solver.assemble_monodromy(p)
+    where = "edge 'a' (length 10000000000.0): "
+    assert str(step.value) == \
+        where + "the exponent h A for h = 10000000000.0 is not finite"
+    assert str(propagator.value) == \
+        where + "the exponent length A is not finite"
+
+
 def test_composite_simpson_quadrature():
     f = lambda x: x ** 3 - 2.0 * x
     exact = 1.0 / 4.0 - 1.0  # integral over [0, 1]
@@ -254,6 +276,83 @@ def test_commutator_norm_zero_for_single_edge_scalar():
     assert rep.commutator_norm <= 1e-14
 
 
+def test_commutator_norm_matches_dense_commutator_on_presets():
+    for sid in scenarios.SCENARIO_IDS:
+        p = preset(sid)
+        gr = p.graph
+        AV = scipy.linalg.block_diag(*[p.operator(e) for e in gr.edges])
+        B = p.B.assemble(gr)
+        dense = np.linalg.norm(AV @ B - B @ AV, 2)
+        assert abs(solver._commutator_norm(p) - dense) \
+            <= 1e-13 * max(dense, 1.0), sid
+
+
 def test_commutator_norm_positive_when_coupling_mixes():
     rep = solver.solve(preset("lions_chain"))
     assert rep.commutator_norm > 1e-6
+
+
+def scalar_graph_doc(n, ring, dims=(1,)):
+    """n edges in a chain, closed into a loop when ring is set; edge k has
+    dimension dims[k % len(dims)] and a diagonal decaying A."""
+    rng = np.random.default_rng(n)
+    dim = [dims[k % len(dims)] for k in range(n)]
+    edges = [{"id": k, "length": 1.0, "dim": dim[k], "steps": 20,
+              "A": np.diag(-rng.uniform(0.5, 2.0, dim[k])).tolist(),
+              "f": {"kind": "constant",
+                    "value": rng.uniform(-1.0, 1.0, dim[k]).tolist()}}
+             for k in range(n)]
+    edges[0]["g"] = [1.0] * dim[0]
+    pairs = [(k - 1, k) for k in range(1, n)] + ([(n - 1, 0)] if ring else [])
+    blocks = [{"from": j, "to": i,
+               "matrix": (0.8 * np.ones((dim[i], dim[j])) / dim[j]).tolist()}
+              for j, i in pairs]
+    return {"edges": edges, "blocks": blocks, "mode": "parabolic"}
+
+
+@pytest.mark.parametrize("ring, dims", [(False, (1,)), (True, (1,)),
+                                        (True, (1, 2))])
+def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
+                                                     ring, dims):
+    n = 100
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(scalar_graph_doc(n, ring, dims)))
+    stage = [None]
+    expm_calls = collections.Counter()
+    svd_shapes = []
+
+    def in_stage(name, fn):
+        def wrapper(*args, **kwargs):
+            stage.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage.pop()
+        return wrapper
+
+    def counted_expm(A, t=1.0, _expm=matfun.expm):
+        expm_calls[stage[-1], np.shape(A)[-1]] += 1
+        return _expm(A, t)
+
+    def recorded_svd(a, *args, _svd=np.linalg.svd, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return _svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(matfun, "expm", counted_expm)
+    for name in ("assemble_monodromy", "edge_recurrences"):
+        monkeypatch.setattr(solver, name,
+                            in_stage(name, getattr(solver, name)))
+    monkeypatch.setattr(cli, "diagnose", in_stage("diagnose", cli.diagnose))
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(numpy.linalg._linalg, "svd", recorded_svd)
+
+    assert cli.run_solve(str(path), str(tmp_path)) == 0
+    # one stacked exponential per stage and dim group (expm_phi12's
+    # augmented matrices are 3d x 3d), none anywhere else
+    groups = sorted(set(dims))
+    assert expm_calls == collections.Counter(
+        [("assemble_monodromy", d) for d in groups]
+        + [("edge_recurrences", 3 * d) for d in groups])
+    size = sum(dims[k % len(dims)] for k in range(n))
+    assert [s for s in svd_shapes if s[-2:] == (size, size)] == \
+        [(size, size)]

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chronograph import solver, variants
+from chronograph import scenarios, solver, variants
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  TimeGraphProblem, TransmissionOperator)
 from chronograph.matfun import NotHermitian
+from conftest import preset
 
 
 def hermitian(seed, n):
@@ -241,3 +242,33 @@ def test_mapping_properties_note_negative_data():
     assert "g_nonnegative" in rep.failed_hypotheses
     # defect still measured so the caller can see how negative it went
     assert rep.positivity_defect is not None
+
+
+def sequential_step_powers(Eh, K):
+    """Eh^0 .. Eh^K one product at a time, as the sup bound once walked
+    them."""
+    powers = [np.eye(Eh.shape[0], dtype=complex)]
+    for _ in range(K):
+        powers.append(Eh @ powers[-1])
+    return np.stack(powers)
+
+
+def test_step_powers_by_doubling_match_the_sequential_walk():
+    Eh = scipy.linalg.expm(0.1 * np.array([[-1.0, 2.0], [0.5, -0.3]]))
+    for K in (0, 1, 2, 3, 7, 8, 9, 100):
+        got = variants._step_powers(Eh, K)
+        assert got.shape == (K + 1, 2, 2)
+        want = sequential_step_powers(Eh, K)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_sup_bound_matches_the_sequential_walk_on_presets(monkeypatch):
+    for sid in scenarios.SCENARIO_IDS:
+        p = preset(sid)
+        report = solver.solve(p)
+        got = variants.verify_mapping_properties(report, p)
+        with monkeypatch.context() as m:
+            m.setattr(variants, "_step_powers", sequential_step_powers)
+            want = variants.verify_mapping_properties(report, p)
+        assert got.sup_bound == want.sup_bound, sid
+        assert got.sup_bound_defect == want.sup_bound_defect, sid
