@@ -163,16 +163,13 @@ def _solve_and_write(problem, mode, out_dir):
     return 0
 
 
-def run_solve(path, out_dir=".", flags=None):
+def run_solve(path, out_dir="."):
     """Solve the problem file at path; write solution.csv and report.json.
 
     Returns the exit code (0 solved, 1 invalid input, 2 singular boundary
     system); error messages go to standard error.
     """
     def work():
-        if flags:
-            # no solve flags are defined yet; reject rather than ignore
-            raise ValueError(f"unknown flags: {sorted(flags)}")
         problem, mode, _ = problem_io.load_problem_file(path)
         return _solve_and_write(problem, mode, out_dir)
     return _trap(work)
@@ -241,10 +238,8 @@ def _compare(path, cn_steps_req, tol, out_dir):
         lcm = lcm * problem.steps_for(e) // math.gcd(lcm, problem.steps_for(e))
     cn_steps = max(cn_steps_req, 2 * lcm)
     cn_steps = ((cn_steps + 2 * lcm - 1) // (2 * lcm)) * (2 * lcm)
-    fine = oracle.cn_solve(problem,
-                           oracle.OracleConfig(cn_steps_per_edge=cn_steps))
-    coarse = oracle.cn_solve(
-        problem, oracle.OracleConfig(cn_steps_per_edge=cn_steps // 2))
+    fine = oracle.cn_solve(problem, cn_steps)
+    coarse = oracle.cn_solve(problem, cn_steps // 2)
 
     state_disc = _max_state_disc(problem, report, fine, cn_steps)
     coarse_disc = _max_state_disc(problem, report, coarse, cn_steps // 2)
@@ -264,7 +259,7 @@ def _compare(path, cn_steps_req, tol, out_dir):
     picard = {"converged": False}
     picard_disc = None
     try:
-        c_pic = oracle.picard_boundary(problem)
+        c_pic = oracle.picard_boundary(problem, report)
         picard = {"converged": True}
         picard_disc = float(np.max(np.abs(c_mine - c_pic)))
     except oracle.PicardDivergence as exc:

@@ -227,19 +227,14 @@ def classify_solvability(pattern):
     return SolvabilityReport(GLOBAL_ONLY, blocking_cycle=cycle)
 
 
-def pattern_of(B, graph, tol=0.0):
+def pattern_of(B, graph):
     """Sparsity pattern of a transmission operator over a graph's edge order.
 
-    A block counts as nonzero when its max-abs entry exceeds `tol` (default
-    exact zero).
+    A block counts as nonzero when any of its entries is nonzero.
     """
-    import numpy as np
-
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     pos = {e: k for k, e in enumerate(graph.edges)}
     nonzero = set()
     for (i, j), block in B.blocks.items():
-        if np.max(np.abs(block)) > tol:
+        if block.any():
             nonzero.add((pos[i], pos[j]))
     return BlockPattern(len(graph.edges), frozenset(nonzero))

@@ -22,7 +22,7 @@ class SingularMatrix(Exception):
         self.rcond = rcond
 
 
-class NotHermitian(Exception):
+class NotHermitian(ValueError):
     """Input failed the Hermitian symmetry check."""
 
 
@@ -33,42 +33,35 @@ def _as_square(A):
     return A
 
 
-def expm(A, t=1.0):
-    """Matrix exponential e^{tA} of one matrix (n, n) or of a stack (k, n, n).
+def expm(A):
+    """Matrix exponential e^A of one matrix (n, n) or of a stack (k, n, n).
 
     scipy's scaling and squaring (Al-Mohy & Higham, "A new scaling and
     squaring algorithm for the matrix exponential", SIMAX 31(3), 2009).
-    Non-finite input, or a product tA that overflows, raises ValueError.
-    scipy exponentiates diagonal input entrywise, so a zero matrix maps to
-    the exact identity.
+    Non-finite input raises ValueError.  scipy exponentiates diagonal input
+    entrywise, so a zero matrix maps to the exact identity.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, "
                          f"got shape {A.shape}")
-    if not np.all(np.isfinite(A)) or not np.isfinite(t):
+    if not np.all(np.isfinite(A)):
         raise ValueError("non-finite entries in matrix exponential input")
-    with np.errstate(over="ignore", invalid="ignore"):
-        B = t * A
-    if not np.all(np.isfinite(B)):
-        raise ValueError("matrix exponential input t A overflows")
-    return la.expm(B)
+    return la.expm(A)
 
 
-def expm_phi12(A, h):
-    """Return (e^{hA}, phi1(hA), phi2(hA)) in one augmented exponential.
+def expm_phi12(A):
+    """Return (e^A, phi1(A), phi2(A)) in one augmented exponential.
 
     phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2, extended by their
     limits at z = 0.  The triple is read off the top block row of
-    exp([[hA, I, 0], [0, 0, I], [0, 0, 0]]), so singular A needs no special
+    exp([[A, I, 0], [0, 0, I], [0, 0, 0]]), so singular A needs no special
     casing.  A may be a stack (k, n, n); so is each returned array.
     """
     A = np.asarray(A, dtype=complex)
-    if not h > 0:
-        raise ValueError("step h must be positive")
     n = A.shape[-1]
     W = np.zeros(A.shape[:-2] + (3 * n, 3 * n), dtype=complex)
-    W[..., :n, :n] = h * A
+    W[..., :n, :n] = A
     W[..., :n, n:2 * n] = np.eye(n)
     W[..., n:2 * n, 2 * n:] = np.eye(n)
     Ew = expm(W)
@@ -123,18 +116,18 @@ class HermitianEigenSystem:
         return (V * self.eigenvalues) @ V.conj().T
 
 
-def hermitian_eig(A, tol=HERMITIAN_TOL):
+def hermitian_eig(A):
     """Eigendecomposition of a (numerically) Hermitian matrix.
 
     The input is symmetrized to (A + A*)/2 before decomposition; a relative
-    asymmetry above `tol` raises NotHermitian.
+    asymmetry above HERMITIAN_TOL raises NotHermitian.
     """
     A = _as_square(A)
     scale = np.linalg.norm(A, 2)
     asym = np.linalg.norm(A - A.conj().T, 2)
-    if asym > tol * max(scale, 1.0):
-        raise NotHermitian(
-            f"asymmetry {asym:.3e} exceeds {tol:.1e} * max(||A||, 1)")
+    if asym > HERMITIAN_TOL * max(scale, 1.0):
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds "
+                           f"{HERMITIAN_TOL:.1e} * max(||A||, 1)")
     H = 0.5 * (A + A.conj().T)
     w, V = np.linalg.eigh(H)
     return HermitianEigenSystem(w, V)

@@ -7,8 +7,6 @@ classification with exhaustive enumeration.  They ship in the library so
 acceptance runs are reproducible from the command line.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as la
 
@@ -29,11 +27,11 @@ class TooLarge(ValueError):
     """Pattern too large for exhaustive permutation search."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    cn_steps_per_edge: int = 10_000
-    picard_max_iter: int = 100_000
-    picard_tol: float = 1e-12
+# Fixed-point iteration budget, and the step size that ends it.
+PICARD_MAX_ITER = 100_000
+PICARD_TOL = 1e-12
+# Largest pattern the exhaustive permutation search accepts.
+BRUTE_FORCE_MAX_N = 8
 
 
 def _cn_edge_maps(A, a, steps):
@@ -47,7 +45,7 @@ def _cn_edge_maps(A, a, steps):
     return h, P, W
 
 
-def cn_solve(problem, cfg=None):
+def cn_solve(problem, steps_per_edge):
     """Crank-Nicolson solve of the coupled problem, sharing no code with the
     exponential path.
 
@@ -59,9 +57,8 @@ def cn_solve(problem, cfg=None):
     violations = validate(problem)
     if violations:
         raise ValueError("invalid problem: " + "; ".join(violations))
-    cfg = cfg or OracleConfig()
     gr = problem.graph
-    N = int(cfg.cn_steps_per_edge)
+    N = int(steps_per_edge)
     off = gr.offsets()
     n = gr.size()
 
@@ -126,36 +123,36 @@ def cn_solve(problem, cfg=None):
     )
 
 
-def picard_boundary(problem, cfg=None):
+def picard_boundary(problem, report):
     """Boundary vector by fixed-point iteration c <- B(Ec + F) + g from zero.
 
+    Iterates on the system of the solve that produced report (a solver.solve
+    report): B E = I - M from its monodromy, and F from its recurrences.
     Converges geometrically iff rho(B E) < 1; divergence is raised up front
     from the spectral radius rather than detected by overflow.
     """
-    cfg = cfg or OracleConfig()
-    mono = solver.assemble_monodromy(problem)
-    F = solver.forced_terminal_integrals(problem)
-    gr = problem.graph
-    B = problem.B.assemble(gr)
-    BE = B @ mono.E
+    M = report.monodromy.M
+    BE = np.eye(len(M), dtype=complex) - M
+    F = solver.forced_terminal_integrals(problem, report.recurrences)
     rho = float(np.max(np.abs(np.linalg.eigvals(BE))))
     if rho >= 1.0:
         raise PicardDivergence(rho)
+    gr = problem.graph
     g = stack_edge_values(gr, problem.g)
-    base = B @ F + g
+    base = problem.B.assemble(gr) @ F + g
     c = np.zeros(gr.size(), dtype=complex)
-    for _ in range(int(cfg.picard_max_iter)):
+    for _ in range(PICARD_MAX_ITER):
         nxt = BE @ c + base
         delta = float(np.linalg.norm(nxt - c))
         c = nxt
-        if delta <= cfg.picard_tol:
+        if delta <= PICARD_TOL:
             return c
     raise RuntimeError(
-        f"picard iteration did not converge in {cfg.picard_max_iter} steps"
+        f"picard iteration did not converge in {PICARD_MAX_ITER} steps"
         f" (rho(BE) = {rho:.6f})")
 
 
-def brute_force_triangularizable(pattern, max_n=8):
+def brute_force_triangularizable(pattern):
     """Ordering that renders the pattern block lower-triangular, or None.
 
     Exhaustive search over edge permutations (organized as a backtracking
@@ -163,8 +160,8 @@ def brute_force_triangularizable(pattern, max_n=8):
     in lexicographic order is returned.  Diagonal entries never obstruct.
     """
     n = pattern.n
-    if n > max_n:
-        raise TooLarge(f"pattern size {n} exceeds limit {max_n}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise TooLarge(f"pattern size {n} exceeds limit {BRUTE_FORCE_MAX_N}")
     needs = [set() for _ in range(n)]  # row -> columns that must come first
     for i, j in pattern.nonzero:
         if not (0 <= i < n and 0 <= j < n):

@@ -301,20 +301,16 @@ def stack_edge_values(graph, mapping):
 _NORM_ONE_SLACK = 1e-12
 
 
-def diagnose(problem, mono=None):
+def diagnose(problem, mono):
     """Hypothesis diagnostics: dissipativity margins, ||B||, monodromy conditioning.
 
     sufficient_condition_met reflects the two sufficient invertibility
     conditions: all margins <= 0 with ||B|| < 1, or margins uniformly negative
     with ||B|| <= 1.  It is informational; solvability itself rests on the
     monodromy conditioning, mono.rcond, the solver's
-    sigma_min / max(1, sigma_max) of I - B E.  Pass the solve's Monodromy;
-    without it the monodromy is assembled here.
+    sigma_min / max(1, sigma_max) of I - B E, read from the solve's
+    Monodromy.
     """
-    from .solver import assemble_monodromy  # solver imports this module
-
-    if mono is None:
-        mono = assemble_monodromy(problem)
     gr = problem.graph
     mu = {}
     for edges in gr.dim_groups().values():

@@ -39,18 +39,33 @@ def _scalar_blocks(entries):
     return [_block(i, j, [[float(w)]]) for (i, j), w in entries.items()]
 
 
+# Overrides that only one preset reads; steps applies to every preset.
+_ONLY_FOR = {"alpha": "phase_shift", "dim": "frequency_shift"}
+
+
 def build_scenario(scenario_id, overrides=None):
     """Materialize one preset as a problem-file document.
 
     Recognized overrides: alpha (phase_shift weight), dim (frequency_shift
-    mode count), steps (substeps applied to every edge).
+    mode count), steps (substeps applied to every edge); dim and steps are
+    at least 1.  An override the chosen preset does not read is rejected,
+    not ignored.
     """
+    if scenario_id not in SCENARIO_IDS:
+        raise KeyError(f"unknown scenario {scenario_id!r}")
     overrides = dict(overrides or {})
+    for key in sorted(overrides.keys() & _ONLY_FOR.keys()):
+        if _ONLY_FOR[key] != scenario_id:
+            raise ValueError(f"override {key!r} does not apply to scenario "
+                             f"{scenario_id!r} (only to {_ONLY_FOR[key]})")
     alpha = float(overrides.pop("alpha", 2.0))
     dim = int(overrides.pop("dim", 8))
     steps = overrides.pop("steps", None)
     if overrides:
         raise ValueError(f"unknown overrides: {sorted(overrides)}")
+    for key, value in (("dim", dim), ("steps", steps)):
+        if value is not None and int(value) < 1:
+            raise ValueError(f"override {key!r} must be >= 1, got {value}")
 
     if scenario_id == "periodic":
         doc = {
@@ -179,8 +194,6 @@ def build_scenario(scenario_id, overrides=None):
                 _block(4, 3, shift),
             ],
         }
-    else:
-        raise KeyError(f"unknown scenario {scenario_id!r}")
 
     doc["mode"] = "parabolic"
     if steps is not None:

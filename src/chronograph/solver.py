@@ -52,9 +52,8 @@ class NotWellPosed(Exception):
 
 @dataclass(frozen=True)
 class Monodromy:
-    """E = blockdiag(e^{a_j A_j}), M = I - B E, and M's conditioning."""
+    """M = I - B E with E = blockdiag(e^{a_j A_j}), and M's conditioning."""
 
-    E: np.ndarray
     M: np.ndarray
     rcond: float
 
@@ -77,7 +76,9 @@ class SolveReport:
     monodromy_rcond: float
     ill_conditioned: bool
     commutator_norm: float           # || [blockdiag(A_j), B] ||, informational
-    monodromy: Optional[Monodromy] = None  # the solve's; None from the oracle
+    # the solve's boundary system and step operators; None from the oracle
+    monodromy: Optional[Monodromy] = None
+    recurrences: Optional[dict] = None  # edge id -> EdgeRecurrence
 
     def psi_minus(self):
         return np.concatenate(
@@ -121,35 +122,35 @@ def _exponents(problem, factor, what):
 
 
 def assemble_monodromy(problem):
-    """Block-diagonal terminal propagator and the boundary operator I - B E.
+    """The boundary operator M = I - B E and its conditioning.
 
-    The propagators of all edges of one dimension come from one stacked
-    exponential; the SVD of I - B E here is the only n x n decomposition of
-    a solve.
+    M starts as the identity, and each nonzero block B_ij subtracts
+    B_ij e^{a_j A_j} from its (i, j) slot, so E and B E are never formed as
+    n x n matrices.  The propagators of all edges of one dimension come from
+    one stacked exponential; the SVD of M here is the only n x n
+    decomposition of a solve.
     """
     _require_valid(problem)
     gr = problem.graph
     off = gr.offsets()
-    n = gr.size()
-    E = np.zeros((n, n), dtype=complex)
+    propagators = {}
     for edges, tA in _exponents(problem, gr.lengths,
                                 lambda e: "the exponent length A"):
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = matfun.expm(tA)
         _require_finite(problem, edges, lambda e: "the propagator "
                         "e^(length A)", blocks)
-        d = blocks.shape[-1]
-        idx = np.array([off[e] for e in edges])[:, None] + np.arange(d)
-        E[idx[:, :, None], idx[:, None, :]] = blocks
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = np.eye(n, dtype=complex) - problem.B.assemble(gr) @ E
-    if not np.all(np.isfinite(M)):
-        row, col = np.argwhere(~np.isfinite(M))[0]
-        owner = [e for e in gr.edges for _ in range(gr.dims[e])]
-        raise ValueError(f"block ({owner[col]!r} -> {owner[row]!r}): B E is "
-                         f"not finite; the block times the propagator of "
-                         f"edge {owner[col]!r} overflows")
-    return Monodromy(E, M, matfun.rcond_identity_scale(M))
+        propagators.update(zip(edges, blocks))
+    M = np.eye(gr.size(), dtype=complex)
+    for (i, j), m in problem.B.blocks.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            BE = m @ propagators[j]
+        if not np.all(np.isfinite(BE)):
+            raise ValueError(f"block ({j!r} -> {i!r}): B E is not finite; "
+                             f"the block times the propagator of edge "
+                             f"{j!r} overflows")
+        M[off[i]:off[i] + gr.dims[i], off[j]:off[j] + gr.dims[j]] -= BE
+    return Monodromy(M, matfun.rcond_identity_scale(M))
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def edge_recurrences(problem):
     for edges, hA in _exponents(problem, h, lambda e: f"the exponent h A "
                                 f"for h = {h[e]!r}"):
         with np.errstate(over="ignore", invalid="ignore"):
-            Eh, P1, P2 = matfun.expm_phi12(hA, 1.0)
+            Eh, P1, P2 = matfun.expm_phi12(hA)
         _require_finite(problem, edges, lambda e: f"a step operator for "
                         f"h = {h[e]!r}", Eh, P1, P2)
         for e, Eh_e, P1_e, P2_e in zip(edges, Eh, P1, P2):
@@ -204,18 +205,15 @@ def _scan(rec, start):
     return x
 
 
-def forced_terminal_integrals(problem, recurrences=None):
+def forced_terminal_integrals(problem, recurrences):
     """Stacked terminal values of the forced-only flow started from zero.
 
     Componentwise this is the convolution of the edge propagator with the
-    forcing over the whole edge, evaluated by the same exact recurrence the
-    propagation uses.  Passing recurrences (from edge_recurrences) saves
-    recomputing the step operators.
+    forcing over the whole edge, evaluated by the exact recurrences (from
+    edge_recurrences) that the propagation uses.
     """
     _require_valid(problem)
     gr = problem.graph
-    if recurrences is None:
-        recurrences = edge_recurrences(problem)
     return np.concatenate([_scan(recurrences[e], np.zeros(gr.dims[e]))[-1]
                            for e in gr.edges])
 
@@ -309,15 +307,11 @@ def _commutator_norm(problem):
         for (i, j), m in problem.B.blocks.items()})
 
 
-def propagate(problem, c, mono=None, recurrences=None):
-    """Integrate every edge from the given stacked initial values and attach
-    residual diagnostics."""
+def propagate(problem, c, mono, recurrences):
+    """Integrate every edge from the given stacked initial values with the
+    solve's recurrences and attach residual diagnostics."""
     _require_valid(problem)
     gr = problem.graph
-    if mono is None:
-        mono = assemble_monodromy(problem)
-    if recurrences is None:
-        recurrences = edge_recurrences(problem)
     off = gr.offsets()
     c = np.asarray(c, dtype=complex).reshape(-1)
     if c.shape[0] != gr.size():
@@ -338,6 +332,7 @@ def propagate(problem, c, mono=None, recurrences=None):
         ill_conditioned=bool(mono.rcond < ILL_CONDITIONED_RCOND),
         commutator_norm=_commutator_norm(problem),
         monodromy=mono,
+        recurrences=recurrences,
     )
 
 

@@ -38,7 +38,6 @@ class SchrodingerProblem:
     actually used on each edge is i H_j."""
 
     base: TimeGraphProblem
-    hermitian_tol: float = matfun.HERMITIAN_TOL
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,15 @@ class MappingReport:
 
 
 def _hermitian_parts(p: SchrodingerProblem):
-    """Per-edge symmetrized H_j (raising when asymmetry exceeds tolerance)."""
+    """Per-edge symmetrized H_j; an edge whose matrix is not Hermitian
+    raises NotHermitian naming the edge."""
     out = {}
     for e in p.base.graph.edges:
-        eig = matfun.hermitian_eig(p.base.operator(e), tol=p.hermitian_tol)
-        out[e] = eig
+        try:
+            out[e] = matfun.hermitian_eig(p.base.operator(e))
+        except matfun.NotHermitian as exc:
+            raise matfun.NotHermitian(f"edge {e!r}: A is not Hermitian: "
+                                      f"{exc}") from None
     return out
 
 
@@ -235,11 +238,13 @@ def _step_powers(Eh, K):
 def verify_mapping_properties(report, problem, strict=False):
     """Numerical verification of realness, positivity and the sup-norm bound.
 
-    Each defect is only populated when its hypotheses hold on the operators;
-    data-side violations (negative f or g entries) are recorded in
-    failed_hypotheses but the defects are still computed, so the caller can
-    inspect without asserting.  strict=True raises HypothesesNotMet as soon
-    as anything failed.
+    report is solver.solve(problem)'s: its monodromy M = I - B E and its step
+    operators are read, not rebuilt, and M is inverted once, for both the
+    positivity check and the sup bound.  Each defect is only populated when
+    its hypotheses hold on the operators; data-side violations (negative f or
+    g entries) are recorded in failed_hypotheses but the defects are still
+    computed, so the caller can inspect without asserting.  strict=True
+    raises HypothesesNotMet as soon as anything failed.
     """
     gr = problem.graph
     failed = []
@@ -261,19 +266,11 @@ def verify_mapping_properties(report, problem, strict=False):
     if not all(_metzler(problem.operator(e)) for e in gr.edges):
         failed.append("A_metzler")
         operators_ok = False
-    mono = solver.assemble_monodromy(problem)
+    Minv = np.linalg.inv(report.monodromy.M)
+    if operators_ok and np.min(Minv.real) < -_ENTRYWISE_TOL:
+        failed.append("inverse_entrywise_nonnegative")
+        operators_ok = False
     positivity_defect = None
-    if operators_ok:
-        try:
-            Minv, _ = matfun.solve_linear(mono.M, np.eye(gr.size(),
-                                                         dtype=complex))
-        except matfun.SingularMatrix:
-            failed.append("monodromy_invertible")
-            operators_ok = False
-        else:
-            if np.min(Minv.real) < -_ENTRYWISE_TOL:
-                failed.append("inverse_entrywise_nonnegative")
-                operators_ok = False
     if operators_ok:
         worst = 0.0
         for e in gr.edges:
@@ -292,8 +289,8 @@ def verify_mapping_properties(report, problem, strict=False):
     amax = max(float(gr.lengths[e]) for e in gr.edges)
     Emax = max(float(np.max(np.sum(np.abs(
         _step_powers(rec.Eh, problem.steps_for(e))), axis=-1)))
-        for e, rec in solver.edge_recurrences(problem).items())
-    Minv_norm = float(np.linalg.norm(np.linalg.inv(mono.M), np.inf))
+        for e, rec in report.recurrences.items())
+    Minv_norm = float(np.linalg.norm(Minv, np.inf))
     B_inf = float(np.linalg.norm(B, np.inf))
     g_inf = float(np.max(np.abs(stack_edge_values(gr, problem.g)),
                          initial=0.0))

@@ -50,7 +50,7 @@ def test_reference_solver_agreement_and_convergence_order():
     for sid in scenarios.SCENARIO_IDS:
         p = preset(sid)
         mine = solver.solve(p)
-        ref = oracle.cn_solve(p, oracle.OracleConfig(cn_steps_per_edge=10_000))
+        ref = oracle.cn_solve(p, 10_000)
         worst = 0.0
         for e in p.graph.edges:
             stride = 10_000 // p.steps_for(e)
@@ -60,7 +60,7 @@ def test_reference_solver_agreement_and_convergence_order():
 
         errors = []
         for n in (200, 400, 800):
-            refine = oracle.cn_solve(p, oracle.OracleConfig(cn_steps_per_edge=n))
+            refine = oracle.cn_solve(p, n)
             err = 0.0
             for e in p.graph.edges:
                 stride = n // p.steps_for(e)
@@ -83,7 +83,7 @@ def test_phase_shift_closed_form_and_iterated_boundary():
     rep = solver.solve(p)
     sol = rep.solutions[0]
     assert abs(sol.states[0, 0] - 2.0 * sol.states[-1, 0]) <= 1e-10
-    c_iter = oracle.picard_boundary(p)
+    c_iter = oracle.picard_boundary(p, rep)
     assert abs(sol.c[0] - c_iter[0]) <= 1e-10
     assert time.perf_counter() - start < 1.0
 

@@ -82,12 +82,12 @@ def test_pattern_normalizes_numpy_indices():
     assert all(isinstance(x, int) for ij in p.nonzero for x in ij)
 
 
-def test_pattern_of_applies_tolerance():
+def test_pattern_of_keeps_every_block_with_a_nonzero_entry():
     g = TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 1, 1: 1})
     B = TransmissionOperator({(1, 0): np.array([[1.0]]),
-                              (0, 0): np.array([[1e-13]])})
+                              (0, 0): np.array([[1e-13]]),
+                              (0, 1): np.array([[0.0]])})
     assert pattern_of(B, g).nonzero == frozenset({(1, 0), (0, 0)})
-    assert pattern_of(B, g, tol=1e-10).nonzero == frozenset({(1, 0)})
 
 
 @st.composite

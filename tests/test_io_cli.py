@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -337,6 +339,69 @@ def test_cli_scenario_rejects_unknown(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("preset_id, override, reader", [
+    ("frequency_shift", "alpha=nan", "phase_shift"),
+    ("phase_shift", "dim=3", "frequency_shift")])
+def test_cli_scenario_rejects_an_override_the_preset_does_not_read(
+        tmp_path, capsys, preset_id, override, reader):
+    key = override.partition("=")[0]
+    assert cli.main(["scenario", preset_id, "--set", override,
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: override {key!r} does not apply to scenario {preset_id!r}"
+        f" (only to {reader})\n")
+    assert not (tmp_path / "problem.json").exists()
+
+
+@pytest.mark.parametrize("override", ["dim=0", "dim=-1", "steps=0"])
+def test_cli_scenario_rejects_a_size_below_one(tmp_path, capsys, override):
+    key, _, value = override.partition("=")
+    assert cli.main(["scenario", "frequency_shift", "--set", override,
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: override {key!r} must be >= 1, got {value}\n"
+
+
+def test_cli_scenario_accepts_the_overrides_each_preset_reads(tmp_path):
+    for preset_id, overrides in (("frequency_shift", ["dim=1", "steps=3"]),
+                                 ("phase_shift", ["alpha=0.5", "steps=3"]),
+                                 ("cycle", ["steps=3"])):
+        out = tmp_path / preset_id
+        argv = ["scenario", preset_id, "--out", str(out)]
+        for pair in overrides:
+            argv += ["--set", pair]
+        assert cli.main(argv) == 0, preset_id
+
+
+NON_HERMITIAN = {
+    "edges": [{"id": 0, "length": 1, "dim": 2, "A": [[0, 1], [0, 0]],
+               "g": [1, 0]}],
+    "blocks": [{"from": 0, "to": 0, "matrix": [[0.5, 0], [0, 0.5]]}],
+    "mode": "schrodinger"}
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare"])
+def test_cli_non_hermitian_schrodinger_edge_exits_one_naming_it(tmp_path,
+                                                                verb):
+    path = make_problem_file(tmp_path, NON_HERMITIAN)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # the same entry point as the installed chronograph script
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from chronograph.cli import main; sys.exit(main())",
+         verb, path, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: edge 0: A is not Hermitian: ")
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "compare.json").exists()
+
+
 def test_cli_compare_within_tolerance(tmp_path):
     path = make_problem_file(tmp_path, MINIMAL)
     assert cli.main(["compare", path, "--cn-steps", "2000",
@@ -377,9 +442,6 @@ def test_importable_entry_points(tmp_path, capsys):
     path = make_problem_file(tmp_path, MINIMAL)
     assert cli.run_solve(path, out_dir=str(tmp_path)) == 0
     assert (tmp_path / "report.json").exists()
-    assert cli.run_solve(path, out_dir=str(tmp_path),
-                         flags={"fast": True}) == 1
-    assert "unknown flags" in capsys.readouterr().err
 
     assert cli.run_scenario("periodic", out_dir=str(tmp_path)) == 0
     assert (tmp_path / "problem.json").exists()

@@ -40,7 +40,7 @@ def reference_expm(A, t=1.0, terms=60, prec=200):
 
 def test_expm_against_high_precision_series():
     A = random_complex(7, n=4, scale=3.0)
-    got = matfun.expm(A, 0.7)
+    got = matfun.expm(0.7 * A)
     want = reference_expm(A, 0.7)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(want, 2)
 
@@ -58,32 +58,27 @@ def test_expm_zero_matrix_is_exactly_identity():
     for n in (1, 2, 3):
         stack = np.stack([np.zeros((n, n)), random_complex(n, n=n),
                           np.zeros((n, n))])
-        got = matfun.expm(stack, 0.3)
+        got = matfun.expm(0.3 * stack)
         assert np.array_equal(got[0], np.eye(n))
         assert np.array_equal(got[2], np.eye(n))
-        assert np.allclose(got[1], matfun.expm(stack[1], 0.3), rtol=0,
+        assert np.allclose(got[1], matfun.expm(0.3 * stack[1]), rtol=0,
                            atol=1e-15)
 
 
 def test_expm_of_a_stack_matches_each_matrix():
     stack = np.stack([random_complex(seed, n=4, scale=3.0)
                       for seed in range(5)])
-    got = matfun.expm(stack, 0.7)
+    got = matfun.expm(0.7 * stack)
     for k in range(5):
         want = reference_expm(stack[k], 0.7)
         assert np.max(np.abs(got[k] - want)) <= 1e-12 * np.linalg.norm(want, 2)
 
 
-def test_expm_rejects_an_overflowing_product():
-    with pytest.raises(ValueError, match="overflows"):
-        matfun.expm(np.array([[-1e300]]), 1e10)
-
-
 def test_expm_scalar_and_diagonal():
-    got = matfun.expm(np.array([[-1.0]]), 1.0)[0, 0]
+    got = matfun.expm(np.array([[-1.0]]))[0, 0]
     assert abs(got - math.exp(-1.0)) <= 1e-15
     D = np.diag([-1.0, -2.0, 0.5])
-    got = matfun.expm(D, 2.0)
+    got = matfun.expm(2.0 * D)
     assert np.max(np.abs(got - np.diag(np.exp(2.0 * np.diag(D))))) <= 1e-13
 
 
@@ -97,8 +92,8 @@ def test_expm_rejects_bad_input():
 @given(st.integers(0, 10 ** 6))
 def test_expm_semigroup_property(seed):
     A = random_complex(seed, n=3, scale=2.0)
-    full = matfun.expm(A, 0.9)
-    split = matfun.expm(A, 0.5) @ matfun.expm(A, 0.4)
+    full = matfun.expm(0.9 * A)
+    split = matfun.expm(0.5 * A) @ matfun.expm(0.4 * A)
     assert np.max(np.abs(full - split)) <= 1e-10 * max(
         1.0, np.linalg.norm(full, 2))
 
@@ -119,14 +114,14 @@ def test_expm_of_skew_hermitian_is_unitary(seed):
 
 
 def test_phi_triple_scalar_values():
-    E, P1, P2 = matfun.expm_phi12(np.array([[1.0]]), 1.0)
+    E, P1, P2 = matfun.expm_phi12(np.array([[1.0]]))
     assert abs(E[0, 0] - math.e) <= 1e-14
     assert abs(P1[0, 0] - (math.e - 1.0)) <= 1e-14
     assert abs(P2[0, 0] - (math.e - 2.0)) <= 1e-14
 
 
 def test_phi_triple_at_zero_operator():
-    E, P1, P2 = matfun.expm_phi12(np.zeros((2, 2)), 1.0)
+    E, P1, P2 = matfun.expm_phi12(np.zeros((2, 2)))
     assert np.allclose(E, np.eye(2), atol=1e-15)
     assert np.allclose(P1, np.eye(2), atol=1e-13)
     assert np.allclose(P2, 0.5 * np.eye(2), atol=1e-13)
@@ -135,8 +130,8 @@ def test_phi_triple_at_zero_operator():
 def test_phi_triple_of_a_stack_matches_each_matrix():
     stack = np.stack([random_complex(seed, n=3, scale=2.0)
                       for seed in range(4)])
-    for got, want in zip(matfun.expm_phi12(stack, 0.37),
-                         zip(*[matfun.expm_phi12(A, 0.37) for A in stack])):
+    for got, want in zip(matfun.expm_phi12(0.37 * stack),
+                         zip(*[matfun.expm_phi12(0.37 * A) for A in stack])):
         assert np.array_equal(got, np.stack(want))
 
 
@@ -144,17 +139,10 @@ def test_phi_triple_of_a_stack_matches_each_matrix():
 def test_phi_recurrence_identities(seed):
     A = random_complex(seed, n=3, scale=2.0)
     h = 0.37
-    E, P1, P2 = matfun.expm_phi12(A, h)
+    E, P1, P2 = matfun.expm_phi12(h * A)
     # e^{hA} = I + hA phi1 and phi1 = I + hA phi2
     assert np.max(np.abs(E - np.eye(3) - h * A @ P1)) <= 1e-11
     assert np.max(np.abs(P1 - np.eye(3) - h * A @ P2)) <= 1e-11
-
-
-def test_phi_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        matfun.expm_phi12(np.eye(2), 0.0)
-    with pytest.raises(ValueError):
-        matfun.expm_phi12(np.eye(2), -1.0)
 
 
 def test_solve_linear_and_rcond():

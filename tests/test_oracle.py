@@ -15,7 +15,7 @@ def test_reference_solver_matches_exponential_path():
     for sid in ("phase_shift", "tadpole", "lions_chain"):
         p = preset(sid)
         mine = solver.solve(p)
-        ref = oracle.cn_solve(p, oracle.OracleConfig(cn_steps_per_edge=2000))
+        ref = oracle.cn_solve(p, 2000)
         for e in p.graph.edges:
             assert np.max(np.abs(mine.solutions[e].states
                                  - ref.solutions[e].states[::20])) <= 2e-5
@@ -26,7 +26,7 @@ def test_reference_solver_second_order_convergence():
     exact = solver.solve(p).solutions[0].states  # recurrence is exact here
     errs = []
     for n in (200, 400):
-        ref = oracle.cn_solve(p, oracle.OracleConfig(cn_steps_per_edge=n))
+        ref = oracle.cn_solve(p, n)
         errs.append(np.max(np.abs(ref.solutions[0].states[::n // 100] - exact)))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
@@ -39,23 +39,23 @@ def test_reference_solver_detects_singular_boundary():
         TransmissionOperator({(0, 0): np.array([[1.0]])}),
         {0: np.array([1.0])})
     with pytest.raises(solver.NotWellPosed):
-        oracle.cn_solve(p, oracle.OracleConfig(cn_steps_per_edge=100))
+        oracle.cn_solve(p, 100)
 
 
 def test_reference_solver_validates_input():
     p = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 1}), (),
                          TransmissionOperator({}))
     with pytest.raises(ValueError):
-        oracle.cn_solve(p)
+        oracle.cn_solve(p, 100)
 
 
 def test_picard_agrees_with_direct_boundary_solve():
     for sid in ("phase_shift", "jump_condition", "time_travel"):
         p = preset(sid)
-        mono = solver.assemble_monodromy(p)
-        F = solver.forced_terminal_integrals(p)
-        direct = solver.solve_boundary(p, mono, F)
-        iterated = oracle.picard_boundary(p)
+        report = solver.solve(p)
+        F = solver.forced_terminal_integrals(p, report.recurrences)
+        direct = solver.solve_boundary(p, report.monodromy, F)
+        iterated = oracle.picard_boundary(p, report)
         assert np.max(np.abs(direct - iterated)) <= 1e-10
 
 
@@ -65,15 +65,18 @@ def test_picard_raises_on_expanding_loop():
         (EdgeOperator(0, np.zeros((1, 1))),),
         TransmissionOperator({(0, 0): np.array([[1.5]])}),
         {0: np.array([1.0])})
+    report = solver.solve(p)
     with pytest.raises(oracle.PicardDivergence) as err:
-        oracle.picard_boundary(p)
+        oracle.picard_boundary(p, report)
     assert abs(err.value.rho - 1.5) <= 1e-12
 
 
 def test_picard_raises_on_marginal_loop():
     # the sign-flipped return map has spectral radius exactly one
+    p = preset("groundhog")
+    report = solver.solve(p)
     with pytest.raises(oracle.PicardDivergence):
-        oracle.picard_boundary(preset("groundhog"))
+        oracle.picard_boundary(p, report)
 
 
 def test_brute_force_confirms_simple_patterns():

@@ -9,6 +9,7 @@ from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  block_norm, diagnose, forcing_node_values,
                                  numerical_abscissa, stack_edge_values,
                                  validate)
+from chronograph.solver import assemble_monodromy
 
 
 def scalar_problem(A=-1.0, B=1.0, g=None, f=1.0, steps=100, length=1.0):
@@ -144,8 +145,12 @@ def test_block_norm_matches_dense_norm(n, density, seed):
     assert abs(block_norm(g, B.blocks) - dense) <= 1e-13 * max(dense, 1.0)
 
 
+def diagnose_alone(problem):
+    return diagnose(problem, assemble_monodromy(problem))
+
+
 def test_diagnose_strict_dissipativity_with_unit_coupling():
-    h = diagnose(scalar_problem(A=-1.0, B=1.0))
+    h = diagnose_alone(scalar_problem(A=-1.0, B=1.0))
     assert h.dissipativity_margin[0] == pytest.approx(-1.0)
     assert h.B_norm == pytest.approx(1.0)
     assert h.sufficient_condition_met
@@ -153,16 +158,16 @@ def test_diagnose_strict_dissipativity_with_unit_coupling():
 
 
 def test_diagnose_contractive_coupling_with_neutral_operator():
-    h = diagnose(scalar_problem(A=0.0, B=0.5))
+    h = diagnose_alone(scalar_problem(A=0.0, B=0.5))
     assert h.dissipativity_margin[0] == pytest.approx(0.0)
     assert h.sufficient_condition_met
     assert h.epsilon is None
 
 
 def test_diagnose_flags_unmet_condition():
-    h = diagnose(scalar_problem(A=0.0, B=1.0))
+    h = diagnose_alone(scalar_problem(A=0.0, B=1.0))
     assert not h.sufficient_condition_met
-    expanding = diagnose(scalar_problem(A=-1.0, B=2.0))
+    expanding = diagnose_alone(scalar_problem(A=-1.0, B=2.0))
     assert not expanding.sufficient_condition_met
 
 

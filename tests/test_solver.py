@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from chronograph import cli, matfun, scenarios, solver
+from chronograph import cli, matfun, problem_io, scenarios, solver, variants
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  SampledForcing, TimeGraphProblem,
@@ -130,14 +130,43 @@ def test_near_singular_flagged_not_fatal():
 def test_monodromy_assembly():
     p = preset("phase_shift")
     mono = solver.assemble_monodromy(p)
-    assert abs(mono.E[0, 0] - math.exp(-1.0)) <= 1e-14
     assert abs(mono.M[0, 0] - (1.0 - 2.0 * math.exp(-1.0))) <= 1e-14
     assert abs(mono.rcond - abs(mono.M[0, 0])) <= 1e-14
 
 
+def dense_monodromy(problem):
+    """I - B E with B and E = blockdiag(e^{a_j A_j}) formed as n x n
+    matrices: the dense construction the block-wise assembly replaces."""
+    gr = problem.graph
+    E = scipy.linalg.block_diag(*[
+        scipy.linalg.expm(float(gr.lengths[e]) * problem.operator(e))
+        for e in gr.edges])
+    return np.eye(gr.size()) - problem.B.assemble(gr) @ E
+
+
+@given(st.integers(1, 5), st.integers(0, 10 ** 6))
+def test_blockwise_monodromy_matches_the_dense_product(n, seed):
+    rng = np.random.default_rng(seed)
+    edges = tuple(range(n))
+    dims = {e: int(rng.integers(1, 4)) for e in edges}
+    lengths = {e: float(rng.uniform(0.2, 2.0)) for e in edges}
+    ops = tuple(EdgeOperator(e, rng.standard_normal((dims[e], dims[e]))
+                             + 1j * rng.standard_normal((dims[e], dims[e])))
+                for e in edges)
+    blocks = {(i, j): rng.standard_normal((dims[i], dims[j]))
+              for i in edges for j in edges if rng.random() < 0.4}
+    p = TimeGraphProblem(TimeGraph(edges, lengths, dims), ops,
+                         TransmissionOperator(blocks))
+    mono = solver.assemble_monodromy(p)
+    want = dense_monodromy(p)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(mono.M - want)) <= 1e-12 * scale
+    assert abs(mono.rcond - matfun.rcond_identity_scale(want)) <= 1e-12
+
+
 def test_forced_terminal_integrals_scalar_value():
     p = preset("periodic")
-    F = solver.forced_terminal_integrals(p)
+    F = solver.forced_terminal_integrals(p, solver.edge_recurrences(p))
     assert abs(F[0] - (1.0 - math.exp(-1.0))) <= 1e-13
 
 
@@ -156,7 +185,7 @@ def sequential_states(problem, edge, start):
     step at a time from fresh step operators."""
     K = problem.steps_for(edge)
     h = float(problem.graph.lengths[edge]) / K
-    Eh, P1, P2 = matfun.expm_phi12(problem.operator(edge), h)
+    Eh, P1, P2 = matfun.expm_phi12(h * problem.operator(edge))
     f = forcing_node_values(problem, edge)
     states = np.empty((K + 1, len(start)), dtype=complex)
     states[0] = start
@@ -317,9 +346,11 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     n = 100
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(scalar_graph_doc(n, ring, dims)))
+    size = sum(dims[k % len(dims)] for k in range(n))
     stage = [None]
     expm_calls = collections.Counter()
     svd_shapes = []
+    inverted = []
 
     def in_stage(name, fn):
         def wrapper(*args, **kwargs):
@@ -330,13 +361,22 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
                 stage.pop()
         return wrapper
 
-    def counted_expm(A, t=1.0, _expm=matfun.expm):
+    def counted_expm(A, _expm=matfun.expm):
         expm_calls[stage[-1], np.shape(A)[-1]] += 1
-        return _expm(A, t)
+        return _expm(A)
 
     def recorded_svd(a, *args, _svd=np.linalg.svd, **kwargs):
         svd_shapes.append(np.shape(a))
         return _svd(a, *args, **kwargs)
+
+    def recorded(name, fn):
+        def wrapper(a, *args, **kwargs):
+            inverted.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    def square_svds():
+        return [s for s in svd_shapes if s[-2:] == (size, size)]
 
     monkeypatch.setattr(matfun, "expm", counted_expm)
     for name in ("assemble_monodromy", "edge_recurrences"):
@@ -345,14 +385,39 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "diagnose", in_stage("diagnose", cli.diagnose))
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     monkeypatch.setattr(numpy.linalg._linalg, "svd", recorded_svd)
+    monkeypatch.setattr(np.linalg, "inv", recorded("inv", np.linalg.inv))
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(scipy.linalg, name,
+                            recorded(name, getattr(scipy.linalg, name)))
 
     assert cli.run_solve(str(path), str(tmp_path)) == 0
     # one stacked exponential per stage and dim group (expm_phi12's
     # augmented matrices are 3d x 3d), none anywhere else
     groups = sorted(set(dims))
-    assert expm_calls == collections.Counter(
+    solve_expms = collections.Counter(
         [("assemble_monodromy", d) for d in groups]
         + [("edge_recurrences", 3 * d) for d in groups])
-    size = sum(dims[k % len(dims)] for k in range(n))
-    assert [s for s in svd_shapes if s[-2:] == (size, size)] == \
-        [(size, size)]
+    assert expm_calls == solve_expms
+    assert square_svds() == [(size, size)]
+
+    # compare: the fixed-point iteration reuses the solve's system, so the
+    # solve's SVD and the two reference solves' are the only n x n ones
+    expm_calls.clear()
+    svd_shapes.clear()
+    assert cli.run_compare(str(path), {"cn_steps": 40, "tol": 1e-2,
+                                       "out": str(tmp_path)}) == 0
+    assert json.loads((tmp_path / "compare.json").read_text())["picard"] \
+        == {"converged": True}
+    assert expm_calls == solve_expms
+    assert square_svds() == [(size, size)] * 3
+
+    # mapping properties read the report's operators and invert M once
+    problem, _, _ = problem_io.load_problem_file(str(path))
+    report = solver.solve(problem)
+    expm_calls.clear()
+    svd_shapes.clear()
+    inverted.clear()
+    variants.verify_mapping_properties(report, problem)
+    assert expm_calls == collections.Counter()
+    assert square_svds() == []
+    assert inverted == [("inv", (size, size))]

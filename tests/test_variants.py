@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chronograph import scenarios, solver, variants
+from chronograph import matfun, scenarios, solver, variants
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
-                                 TimeGraphProblem, TransmissionOperator)
+                                 TimeGraphProblem, TransmissionOperator,
+                                 forcing_node_values, stack_edge_values)
 from chronograph.matfun import NotHermitian
 from conftest import preset
 
@@ -272,3 +273,85 @@ def test_sup_bound_matches_the_sequential_walk_on_presets(monkeypatch):
             want = variants.verify_mapping_properties(report, p)
         assert got.sup_bound == want.sup_bound, sid
         assert got.sup_bound_defect == want.sup_bound_defect, sid
+
+
+def dense_verify_mapping_properties(report, problem):
+    """verify_mapping_properties as it was when it rebuilt the monodromy and
+    the step operators and inverted I - B E twice, kept as the reference for
+    the version that reads the solve's own."""
+    gr = problem.graph
+    failed = []
+    real_defect = None
+    if variants._is_real_problem(problem):
+        real_defect = max(
+            float(np.max(np.abs(report.solutions[e].states.imag)))
+            for e in gr.edges)
+    else:
+        failed.append("real_data")
+    B = problem.B.assemble(gr)
+    tol = variants._ENTRYWISE_TOL
+    operators_ok = True
+    if np.max(np.abs(B.imag), initial=0.0) > 0.0 or \
+            np.min(B.real, initial=0.0) < -tol:
+        failed.append("B_entrywise_nonnegative")
+        operators_ok = False
+    if not all(variants._metzler(problem.operator(e)) for e in gr.edges):
+        failed.append("A_metzler")
+        operators_ok = False
+    mono = solver.assemble_monodromy(problem)
+    positivity_defect = None
+    if operators_ok:
+        try:
+            Minv, _ = matfun.solve_linear(mono.M, np.eye(gr.size(),
+                                                         dtype=complex))
+        except matfun.SingularMatrix:
+            failed.append("monodromy_invertible")
+            operators_ok = False
+        else:
+            if np.min(Minv.real) < -tol:
+                failed.append("inverse_entrywise_nonnegative")
+                operators_ok = False
+    if operators_ok:
+        worst = 0.0
+        for e in gr.edges:
+            worst = min(worst, float(np.min(report.solutions[e].states.real)))
+        positivity_defect = abs(min(worst, 0.0))
+        if np.min(stack_edge_values(gr, problem.g).real) < 0.0:
+            failed.append("g_nonnegative")
+        for e in gr.edges:
+            if np.min(forcing_node_values(problem, e).real, initial=0.0) < 0.0:
+                failed.append(f"f_nonnegative[{e!r}]")
+                break
+    amax = max(float(gr.lengths[e]) for e in gr.edges)
+    Emax = max(float(np.max(np.sum(np.abs(
+        variants._step_powers(rec.Eh, problem.steps_for(e))), axis=-1)))
+        for e, rec in solver.edge_recurrences(problem).items())
+    Minv_norm = float(np.linalg.norm(np.linalg.inv(mono.M), np.inf))
+    B_inf = float(np.linalg.norm(B, np.inf))
+    g_inf = float(np.max(np.abs(stack_edge_values(gr, problem.g)),
+                         initial=0.0))
+    f_inf = max(float(np.max(np.abs(forcing_node_values(problem, e)),
+                             initial=0.0)) for e in gr.edges)
+    bound = (Emax * Minv_norm * (g_inf + B_inf * amax * Emax * f_inf)
+             + amax * Emax * f_inf)
+    observed = max(float(np.max(np.abs(report.solutions[e].states)))
+                   for e in gr.edges)
+    return variants.MappingReport(real_defect, positivity_defect,
+                                  max(0.0, observed - bound), bound,
+                                  observed, tuple(failed))
+
+
+def test_mapping_properties_match_the_dense_reference_on_presets():
+    problems = [preset(sid) for sid in scenarios.SCENARIO_IDS]
+    problems.append(positive_problem())
+    for p in problems:
+        report = solver.solve(p)
+        got = variants.verify_mapping_properties(report, p)
+        want = dense_verify_mapping_properties(report, p)
+        assert got.failed_hypotheses == want.failed_hypotheses
+        for name in ("real_defect", "positivity_defect", "sup_bound_defect",
+                     "sup_bound", "sup_observed"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert abs(a - b) <= 1e-12 * max(abs(b), 1e-300), name
