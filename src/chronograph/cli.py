@@ -130,9 +130,9 @@ def _report_dict(problem, mode, report):
     return doc
 
 
-def _unitarity_dict(sp):
+def _unitarity_dict(report, problem):
     try:
-        rep = variants.unitarity_check(sp)
+        rep = variants.unitarity_check(report, problem)
     except variants.NonCommuting as exc:
         return {"checked": False, "reason": str(exc)}
     return {
@@ -146,16 +146,17 @@ def _unitarity_dict(sp):
 
 def _solve_and_write(problem, mode, out_dir):
     if mode == "schrodinger":
-        sp = variants.SchrodingerProblem(problem)
-        effective = variants.schrodinger_effective(sp)
+        effective = variants.schrodinger_effective(
+            variants.SchrodingerProblem(problem))
         report = solver.solve(effective)
         doc = _report_dict(effective, mode, report)
-        doc["unitarity"] = _unitarity_dict(sp)
+        doc["unitarity"] = _unitarity_dict(report, effective)
     else:
         report = solver.solve(problem)
         doc = _report_dict(problem, mode, report)
+    report_text = canonical_json(doc)  # raises before any file is written
     atomic_write(f"{out_dir}/solution.csv", problem_io.solution_csv(report))
-    atomic_write(f"{out_dir}/report.json", canonical_json(doc))
+    atomic_write(f"{out_dir}/report.json", report_text)
     print(f"solved {len(problem.graph.edges)} edge(s): "
           f"boundary residual {report.boundary_residual:.3e}, "
           f"step defect {report.ode_residual:.3e} -> "
@@ -211,6 +212,12 @@ def run_compare(path, cfg=None):
         out_dir = opts.pop("out", ".")
         if opts:
             raise ValueError(f"unknown compare options: {sorted(opts)}")
+        if cn_steps_req < 1:
+            raise ValueError(f"compare option cn_steps (--cn-steps): "
+                             f"{cn_steps_req} is below 1")
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"compare option tol (--tol): {tol} is not a "
+                             "finite number >= 0")
         return _compare(path, cn_steps_req, tol, out_dir)
     return _trap(work)
 
@@ -233,9 +240,7 @@ def _compare(path, cn_steps_req, tol, out_dir):
     report = solver.solve(problem)
 
     # Both reference grids (N and N/2) must contain every solver node.
-    lcm = 1
-    for e in problem.graph.edges:
-        lcm = lcm * problem.steps_for(e) // math.gcd(lcm, problem.steps_for(e))
+    lcm = math.lcm(*(problem.steps_for(e) for e in problem.graph.edges))
     cn_steps = max(cn_steps_req, 2 * lcm)
     cn_steps = ((cn_steps + 2 * lcm - 1) // (2 * lcm)) * (2 * lcm)
     fine = oracle.cn_solve(problem, cn_steps)
@@ -251,10 +256,8 @@ def _compare(path, cn_steps_req, tol, out_dir):
     else:
         order = None
 
-    c_mine = np.concatenate([report.solutions[e].c
-                             for e in problem.graph.edges])
-    c_ref = np.concatenate([fine.solutions[e].c for e in problem.graph.edges])
-    boundary_disc = float(np.max(np.abs(c_mine - c_ref)))
+    c_mine = report.psi_minus()
+    boundary_disc = float(np.max(np.abs(c_mine - fine.psi_minus())))
 
     picard = {"converged": False}
     picard_disc = None

@@ -10,7 +10,7 @@ acceptance runs are reproducible from the command line.
 import numpy as np
 import scipy.linalg as la
 
-from . import solver
+from . import matfun, solver
 from .problem import forcing_node_values, stack_edge_values, validate
 from .solver import EdgeSolution, NotWellPosed, SolveReport
 
@@ -81,8 +81,7 @@ def cn_solve(problem, steps_per_edge):
 
     B = problem.B.assemble(gr)
     M = np.eye(n, dtype=complex) - B @ E_tilde
-    sv = np.linalg.svd(M, compute_uv=False)
-    rcond = float(sv[-1] / max(float(sv[0]), 1.0)) if sv[0] > 0 else 0.0
+    rcond = matfun.rcond_identity_scale(M)
     if rcond < solver.SINGULAR_RCOND:
         raise NotWellPosed(rcond)
     g = stack_edge_values(gr, problem.g)
@@ -98,7 +97,7 @@ def cn_solve(problem, steps_per_edge):
         states[0] = c[off[e]:off[e] + d]
         for k in range(N):
             states[k + 1] = P @ states[k] + W @ (f[k] + f[k + 1])
-        solutions[e] = EdgeSolution(e, times, states, states[0].copy())
+        solutions[e] = EdgeSolution(e, times, states)
         # defect of the CN recurrence itself, recomputed
         mid = N // 2
         for k in (0, mid, N - 1):
@@ -107,14 +106,10 @@ def cn_solve(problem, steps_per_edge):
                 np.linalg.norm(states[k + 1] - pred)
                 / (1.0 + np.linalg.norm(states[k]))))
 
-    minus = np.concatenate([solutions[e].states[0] for e in gr.edges])
-    plus = np.concatenate([solutions[e].states[-1] for e in gr.edges])
-    boundary = float(np.linalg.norm(minus - B @ plus - g)
-                     / (1.0 + np.linalg.norm(g)))
     return SolveReport(
         solutions=solutions,
         edge_order=tuple(gr.edges),
-        boundary_residual=boundary,
+        boundary_residual=solver._boundary_residual(problem, solutions),
         ode_residual=worst_defect,
         energy_defect=solver.energy_defect_of(problem, solutions),
         monodromy_rcond=rcond,

@@ -153,9 +153,17 @@ def load_problem_dict(doc):
     g = {}
     steps = {}
     forcing_map = {}
+    seen = {}  # an id and its text form -> index of the first edge
     for k, e in enumerate(doc["edges"]):
         where = f"edges/{k}"
         eid = e["id"]
+        prior = seen.setdefault(eid, seen.setdefault(str(eid), k))
+        if prior != k:
+            errors.append(f"{where}/id: {json.dumps(eid)} is the same id as "
+                          f"edges/{prior}/id in the outputs")
+        if isinstance(eid, str) and any(c in eid for c in ',"\r\n'):
+            errors.append(f"{where}/id: {json.dumps(eid)} contains a comma, a "
+                          "double quote, CR or LF, unfit for solution.csv")
         edges.append(eid)
         try:
             lengths[eid] = float(e["length"])
@@ -265,19 +273,16 @@ def problem_to_dict(problem, mode="parabolic", options=None):
         if e in problem.g:
             entry["g"] = [_real(x) for x in problem.g[e]]
         edges.append(entry)
+    pos = {e: k for k, e in enumerate(gr.edges)}
     blocks = [{"from": j, "to": i,
                "matrix": [[_real(x) for x in row] for row in m]}
               for (i, j), m in sorted(problem.B.blocks.items(),
-                                      key=lambda kv: _block_key(gr, kv[0]))]
+                                      key=lambda kv: (pos[kv[0][0]],
+                                                      pos[kv[0][1]]))]
     doc = {"edges": edges, "blocks": blocks, "mode": mode}
     if options:
         doc["options"] = options
     return doc
-
-
-def _block_key(graph, key):
-    pos = {e: k for k, e in enumerate(graph.edges)}
-    return (pos[key[0]], pos[key[1]])
 
 
 def _real(x):
@@ -299,8 +304,25 @@ def format_number(x):
     return f"{v:.17g}"
 
 
+def _nonfinite_at(o):
+    """Key path of the first non-finite float in o, in canonical_json's
+    order, or None."""
+    if isinstance(o, (float, np.floating)):
+        return None if math.isfinite(o) else ""
+    items = (sorted(o.items(), key=lambda kv: kv[0]) if isinstance(o, dict)
+             else enumerate(o) if isinstance(o, (list, tuple, np.ndarray))
+             else ())
+    for k, v in items:
+        at = _nonfinite_at(v)
+        if at is not None:
+            return f"{k}/{at}".rstrip("/")
+    return None
+
+
 def canonical_json(obj):
-    """Deterministic JSON: sorted keys, 17-significant-digit numbers."""
+    """Deterministic JSON: sorted keys, 17-significant-digit numbers; a
+    non-finite float, which JSON cannot carry, raises ValueError naming its
+    key path."""
 
     def emit(o):
         if o is None:
@@ -308,6 +330,9 @@ def canonical_json(obj):
         if isinstance(o, bool):
             return "true" if o else "false"
         if isinstance(o, (int, float, np.integer, np.floating)):
+            if isinstance(o, (float, np.floating)) and not math.isfinite(o):
+                raise ValueError(f"{_nonfinite_at(obj) or 'document'}: {o} "
+                                 "is not finite and has no JSON form")
             return format_number(o)
         if isinstance(o, str):
             return json.dumps(o, ensure_ascii=False)

@@ -26,7 +26,8 @@ import numpy as np
 import scipy.linalg as la
 
 from . import matfun
-from .problem import (block_norm, forcing_node_values, stack_edge_values,
+from .problem import (EdgeOperator, SampledForcing, TimeGraphProblem,
+                      block_norm, forcing_node_values, stack_edge_values,
                       validate)
 
 MILD = "MILD"
@@ -52,10 +53,18 @@ class NotWellPosed(Exception):
 
 @dataclass(frozen=True)
 class Monodromy:
-    """M = I - B E with E = blockdiag(e^{a_j A_j}), and M's conditioning."""
+    """M = I - B E with E = blockdiag(e^{a_j A_j}), M's extreme singular
+    values, and the propagators E_j."""
 
     M: np.ndarray
-    rcond: float
+    sigma_min: float
+    sigma_max: float
+    propagators: dict  # edge id -> e^{a_j A_j}
+
+    @property
+    def rcond(self):
+        """sigma_min / max(1, sigma_max), as matfun.rcond_identity_scale."""
+        return self.sigma_min / max(self.sigma_max, 1.0)
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,6 @@ class EdgeSolution:
     edge: object
     times: np.ndarray   # uniform, 0 .. a_j inclusive
     states: np.ndarray  # (steps + 1, dim), states[0] = c
-    c: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,8 +135,8 @@ def assemble_monodromy(problem):
     M starts as the identity, and each nonzero block B_ij subtracts
     B_ij e^{a_j A_j} from its (i, j) slot, so E and B E are never formed as
     n x n matrices.  The propagators of all edges of one dimension come from
-    one stacked exponential; the SVD of M here is the only n x n
-    decomposition of a solve.
+    one stacked exponential and are kept on the result; the SVD of M here
+    is the only n x n decomposition of a solve.
     """
     _require_valid(problem)
     gr = problem.graph
@@ -150,7 +158,8 @@ def assemble_monodromy(problem):
                              f"the block times the propagator of edge "
                              f"{j!r} overflows")
         M[off[i]:off[i] + gr.dims[i], off[j]:off[j] + gr.dims[j]] -= BE
-    return Monodromy(M, matfun.rcond_identity_scale(M))
+    sv = np.linalg.svd(M, compute_uv=False)
+    return Monodromy(M, float(sv[-1]), float(sv[0]), propagators)
 
 
 @dataclass(frozen=True)
@@ -320,8 +329,7 @@ def propagate(problem, c, mono, recurrences):
     solutions = {}
     for e in gr.edges:
         states = _scan(recurrences[e], c[off[e]:off[e] + gr.dims[e]])
-        solutions[e] = EdgeSolution(e, problem.times(e), states,
-                                    states[0].copy())
+        solutions[e] = EdgeSolution(e, problem.times(e), states)
     return SolveReport(
         solutions=solutions,
         edge_order=tuple(gr.edges),
@@ -351,8 +359,6 @@ def resolvent_Dt(problem, lam):
     This realizes the resolvent of the coupled time derivative at lam; it is
     singular exactly when lam hits the transmission operator's point spectrum.
     """
-    from .problem import EdgeOperator, TimeGraphProblem
-
     gr = problem.graph
     ops = tuple(EdgeOperator(e, complex(lam) * np.eye(gr.dims[e]))
                 for e in gr.edges)
@@ -369,8 +375,6 @@ def solution_grade(problem, report=None):
     CLASSICAL.  Non-finite forcing data degrades to STRONG when the residuals
     are finite, else MILD.  Reported, not proved.
     """
-    from .problem import SampledForcing
-
     classical = True
     for e in problem.graph.edges:
         spec = problem.forcing.spec_for(e)

@@ -52,6 +52,18 @@ def test_canonical_json_handles_arrays_and_rejects_junk():
         canonical_json({"x": object()})
 
 
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, np.float32("nan"),
+              np.float64("inf")],
+    ids=["nan", "inf", "-inf", "float32-nan", "float64-inf"])
+def test_canonical_json_rejects_non_finite_numbers_naming_the_path(value):
+    doc = {"a": 1.0, "b": [0.5, {"c": np.array([2.0, value])}]}
+    with pytest.raises(ValueError, match=r"^b/1/c/1: .* is not finite"):
+        canonical_json(doc)
+    with pytest.raises(ValueError, match=r"^document: "):
+        canonical_json(value)
+
+
 def test_load_minimal_document():
     problem, mode, options = load_problem_dict(MINIMAL)
     assert mode == "parabolic"
@@ -207,8 +219,8 @@ def test_solution_csv_matches_per_value_writer_on_edge_values():
                      [-math.inf * 1j, 0.1 + 1j / 3, -7.0]])
     narrow = np.array([[-0.0], [tiny], [complex(-math.inf, 1.0)]])
     times = np.array([-0.0, 0.5, 1.0])
-    sols = {"a%d%%s": solver.EdgeSolution("a%d%%s", times, narrow, narrow[0]),
-            7: solver.EdgeSolution(7, times, wide, wide[0])}
+    sols = {"a%d%%s": solver.EdgeSolution("a%d%%s", times, narrow),
+            7: solver.EdgeSolution(7, times, wide)}
     rep = solver.SolveReport(sols, ("a%d%%s", 7), 0.0, 0.0, 0.0, 1.0, False,
                              0.0)
     text = solution_csv(rep)
@@ -248,6 +260,37 @@ def test_cli_invalid_input_exits_one(tmp_path, capsys):
     path = make_problem_file(tmp_path, {"edges": []})
     assert cli.main(["solve", path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def one_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: ")
+    return lines[0][len("error: "):]
+
+
+def test_cli_rejects_ids_with_the_same_text_form(tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["edges"].append(dict(doc["edges"][0], id="0"))
+    path = make_problem_file(tmp_path, doc)
+    assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    assert one_error_line(capsys) == \
+        'edges/1/id: "0" is the same id as edges/0/id in the outputs'
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("eid", ["a,b", 'a"b', "c\rd", "c\nd"])
+def test_cli_rejects_ids_that_solution_csv_cannot_carry(tmp_path, capsys,
+                                                        eid):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["edges"][0]["id"] = eid
+    doc["blocks"] = []
+    path = make_problem_file(tmp_path, doc)
+    assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    assert one_error_line(capsys).startswith(
+        f"edges/0/id: {json.dumps(eid)} contains a comma, a double quote, "
+        "CR or LF")
+    assert not (tmp_path / "solution.csv").exists()
 
 
 def test_cli_singular_problem_exits_two(tmp_path, capsys):
@@ -413,6 +456,18 @@ def test_cli_compare_within_tolerance(tmp_path):
     assert doc["picard_discrepancy"] <= 1e-6
     # reference is exact on the steady state, so no order is measurable
     assert doc["convergence_order"] is None
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-6"),
+    ("--cn-steps", "0")])
+def test_cli_compare_rejects_an_unusable_option(tmp_path, capsys, option,
+                                                value):
+    path = make_problem_file(tmp_path, MINIMAL)
+    assert cli.main(["compare", path, f"{option}={value}",
+                     "--out", str(tmp_path)]) == 1
+    assert f"({option})" in one_error_line(capsys)
+    assert not (tmp_path / "compare.json").exists()
 
 
 def test_cli_compare_breach_exits_three(tmp_path):

@@ -42,14 +42,14 @@ def test_phase_shift_closed_form():
     e1 = math.exp(-1.0)
     want = 2.0 * (1.0 - e1) / (1.0 - 2.0 * e1)
     sol = rep.solutions[0]
-    assert abs(sol.c[0] - want) <= 1e-12
+    assert abs(sol.states[0, 0] - want) <= 1e-12
     assert abs(sol.states[0, 0] - 2.0 * sol.states[-1, 0]) <= 1e-12
 
 
 def test_jump_condition_closed_form():
     rep = solver.solve(preset("jump_condition"))
     sol = rep.solutions[0]
-    assert abs(sol.c[0] - 1.0 / (1.0 - math.exp(-1.0))) <= 1e-12
+    assert abs(sol.states[0, 0] - 1.0 / (1.0 - math.exp(-1.0))) <= 1e-12
     # the jump datum reappears as the difference of the endpoint values
     assert abs((sol.states[0, 0] - sol.states[-1, 0]) - 1.0) <= 1e-12
 
@@ -339,18 +339,35 @@ def scalar_graph_doc(n, ring, dims=(1,)):
     return {"edges": edges, "blocks": blocks, "mode": "parabolic"}
 
 
-@pytest.mark.parametrize("ring, dims", [(False, (1,)), (True, (1,)),
-                                        (True, (1, 2))])
+def schrodinger_graph_doc(n, dims):
+    """scalar_graph_doc's chain in Schrodinger mode, every edge with
+    A = -0.7 I, so the propagators are one phase times I and commute with
+    every block: the unitarity check runs to the end."""
+    doc = scalar_graph_doc(n, False, dims)
+    for edge in doc["edges"]:
+        edge["A"] = (-0.7 * np.eye(edge["dim"])).tolist()
+    doc["mode"] = "schrodinger"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "ring, dims, mode",
+    [(False, (1,), "parabolic"), (True, (1,), "parabolic"),
+     (True, (1, 2), "parabolic"), (False, (1, 2), "schrodinger")],
+    ids=["False-dims0", "True-dims1", "True-dims2", "schrodinger"])
 def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
-                                                     ring, dims):
+                                                     ring, dims, mode):
     n = 100
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(scalar_graph_doc(n, ring, dims)))
+    doc = (schrodinger_graph_doc(n, dims) if mode == "schrodinger"
+           else scalar_graph_doc(n, ring, dims))
+    path.write_text(json.dumps(doc))
     size = sum(dims[k % len(dims)] for k in range(n))
     stage = [None]
     expm_calls = collections.Counter()
     svd_shapes = []
     inverted = []
+    eig_calls = []
 
     def in_stage(name, fn):
         def wrapper(*args, **kwargs):
@@ -378,7 +395,12 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     def square_svds():
         return [s for s in svd_shapes if s[-2:] == (size, size)]
 
+    def counted_eig(A, _eig=matfun.hermitian_eig):
+        eig_calls.append(np.shape(A))
+        return _eig(A)
+
     monkeypatch.setattr(matfun, "expm", counted_expm)
+    monkeypatch.setattr(matfun, "hermitian_eig", counted_eig)
     for name in ("assemble_monodromy", "edge_recurrences"):
         monkeypatch.setattr(solver, name,
                             in_stage(name, getattr(solver, name)))
@@ -399,6 +421,15 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
         + [("edge_recurrences", 3 * d) for d in groups])
     assert expm_calls == solve_expms
     assert square_svds() == [(size, size)]
+    if mode == "schrodinger":
+        # the unitarity check reads the solve's propagators and singular
+        # values: no second SVD or inverse of M, one eigensystem per edge
+        assert inverted == [("solve", (size, size))]
+        assert len(eig_calls) == n
+        unitarity = json.loads((tmp_path / "report.json").read_text())[
+            "unitarity"]
+        assert unitarity["checked"] and unitarity["unitary"] is False
+        return
 
     # compare: the fixed-point iteration reuses the solve's system, so the
     # solve's SVD and the two reference solves' are the only n x n ones

@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, strategies as st
 
 from chronograph import matfun, scenarios, solver, variants
 from chronograph.graph import TimeGraph
@@ -60,6 +62,14 @@ def test_oscillatory_rejects_asymmetric_operator():
         variants.schrodinger_solve(variants.SchrodingerProblem(base))
 
 
+def unitarity(base):
+    """unitarity_check on base read as a Schrodinger problem, from the solve
+    of its effective problem, as the CLI runs it."""
+    effective = variants.schrodinger_effective(
+        variants.SchrodingerProblem(base))
+    return variants.unitarity_check(solver.solve(effective), effective)
+
+
 def test_unitarity_holds_for_matched_cosine_coupling():
     H = hermitian(13, 3)
     a = 0.8
@@ -71,7 +81,7 @@ def test_unitarity_holds_for_matched_cosine_coupling():
         B=TransmissionOperator({(0, 0): B}),
         g={0: np.ones(3)},
     )
-    rep = variants.unitarity_check(variants.SchrodingerProblem(base))
+    rep = unitarity(base)
     assert rep.unitary
     assert rep.defect <= 1e-10
     assert rep.operator_defect <= 1e-9
@@ -85,7 +95,7 @@ def test_unitarity_counterexample_quarter_period():
         B=TransmissionOperator({(0, 0): np.array([[1.0]])}),
         g={0: np.ones(1)},
     )
-    rep = variants.unitarity_check(variants.SchrodingerProblem(base))
+    rep = unitarity(base)
     assert not rep.unitary
     assert abs(rep.defect - 1.0) <= 1e-12
     # |S|^2 sits at one half, uniformly in time
@@ -102,7 +112,133 @@ def test_unitarity_gate_rejects_non_commuting_coupling():
         g={0: np.zeros(2)},
     )
     with pytest.raises(variants.NonCommuting):
-        variants.unitarity_check(variants.SchrodingerProblem(base))
+        unitarity(base)
+
+
+def _blockdiag(graph, per_edge):
+    n = graph.size()
+    off = graph.offsets()
+    out = np.zeros((n, n), dtype=complex)
+    for e in graph.edges:
+        s = off[e]
+        d = graph.dims[e]
+        out[s:s + d, s:s + d] = per_edge[e]
+    return out
+
+
+def dense_unitarity_check(p):
+    """unitarity_check as it was when it eigendecomposed every H_j again,
+    built e^{iaH}, cos(aH) and five sampled phases as dense block diagonals
+    and inverted I - B E_phase itself; kept as the reference for the version
+    that reads the solve's operators."""
+    gr = p.base.graph
+    eigs = {e: matfun.hermitian_eig(p.base.operator(e)) for e in gr.edges}
+    aH_cos = _blockdiag(gr, {
+        e: matfun.funm_hermitian(eigs[e],
+                                 lambda x, a=gr.lengths[e]: math.cos(a * x))
+        for e in gr.edges})
+    E_phase = _blockdiag(gr, {
+        e: matfun.funm_hermitian(eigs[e],
+                                 lambda x, a=gr.lengths[e]: cmath.exp(1j * a * x))
+        for e in gr.edges})
+    B = p.base.B.assemble(gr)
+    comm = float(np.linalg.norm(B @ E_phase - E_phase @ B, 2))
+    scale = max(1.0, np.linalg.norm(B, 2) * np.linalg.norm(E_phase, 2))
+    if comm > variants._COMMUTATOR_TOL * scale:
+        raise variants.NonCommuting(
+            f"||[B, e^(iaH)]|| = {comm:.3e} exceeds tolerance")
+    defect = float(np.linalg.norm(B @ B - 2.0 * B @ aH_cos, 2))
+    M = np.eye(gr.size(), dtype=complex) - B @ E_phase
+    Minv, _ = matfun.solve_linear(M, np.eye(gr.size(), dtype=complex))
+    op_defect = 0.0
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        phase_t = _blockdiag(gr, {
+            e: matfun.funm_hermitian(
+                eigs[e], lambda x, a=gr.lengths[e]: cmath.exp(1j * frac * a * x))
+            for e in gr.edges})
+        S = phase_t @ Minv
+        op_defect = max(op_defect, float(np.linalg.norm(
+            S @ S.conj().T - np.eye(gr.size()), 2)))
+    return variants.UnitarityReport(bool(defect <= variants._UNITARY_TOL),
+                                    defect, op_defect, comm)
+
+
+def shared_hamiltonian_problem(d, n, kind, seed):
+    """n edges sharing one Hermitian H of dimension d.
+
+    kind "functions": a random block pattern whose blocks are polynomials
+    in H, edge lengths often shared, so some blocks commute with E and some
+    do not; "matched": one length a and B = Q (x) 2 cos(aH) with Q the
+    averaging projector over a random subset of the edges, which makes the
+    operators unitary; "mixed": blocks with no relation to H.
+    """
+    rng = np.random.default_rng(seed)
+    H = hermitian(seed, d)
+    shared = float(rng.uniform(0.4, 2.0))
+    edges = tuple(range(n))
+    lengths = {e: shared if kind == "matched" or rng.random() < 0.5
+               else float(rng.uniform(0.4, 2.0)) for e in edges}
+    eye = np.eye(d)
+    H_scale = max(1.0, float(np.max(np.abs(H)))) ** 2
+    if kind == "matched":
+        w, V = np.linalg.eigh(H)
+        cos = (V * np.cos(shared * w)) @ V.conj().T
+        members = [e for e in edges if rng.random() < 0.7] or [0]
+        blocks = {(i, j): 2.0 / len(members) * cos
+                  for i in members for j in members}
+    else:
+        blocks = {}
+        for i in edges:
+            for j in edges:
+                if rng.random() < 0.5:
+                    continue
+                if kind == "functions":
+                    re, im = rng.uniform(-1.0, 1.0, (2, 3))
+                    c = re + 1j * im
+                    blocks[i, j] = 0.5 * (c[0] * eye + c[1] * H
+                                          + c[2] * H @ H) / H_scale
+                else:
+                    blocks[i, j] = 0.5 * (rng.standard_normal((d, d))
+                                          + 1j * rng.standard_normal((d, d)))
+    return TimeGraphProblem(
+        graph=TimeGraph(edges, lengths, {e: d for e in edges}),
+        operators=tuple(EdgeOperator(e, H) for e in edges),
+        B=TransmissionOperator(blocks),
+        g={0: np.ones(d)},
+    )
+
+
+def _agree(got, want):
+    return abs(got - want) <= max(1e-12 * abs(want), 1e-13)
+
+
+@given(st.integers(1, 3), st.integers(1, 4),
+       st.sampled_from(["functions", "matched", "mixed"]),
+       st.integers(0, 10 ** 6))
+def test_unitarity_check_matches_the_dense_reference(d, n, kind, seed):
+    base = shared_hamiltonian_problem(d, n, kind, seed)
+    try:
+        want = dense_unitarity_check(variants.SchrodingerProblem(base))
+    except variants.NonCommuting:
+        want = None
+    effective = variants.schrodinger_effective(
+        variants.SchrodingerProblem(base))
+    try:
+        report = solver.solve(effective)
+    except solver.NotWellPosed:
+        assume(False)
+    try:
+        got = variants.unitarity_check(report, effective)
+    except variants.NonCommuting:
+        got = None
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert _agree(got.defect, want.defect), (got, want)
+    assert _agree(got.operator_defect, want.operator_defect), (got, want)
+    assert _agree(got.commutator, want.commutator), (got, want)
+    if not 1e-11 <= want.defect <= 1e-9:
+        assert got.unitary == want.unitary
 
 
 def oscillator_problem(omega, x0, v0, steps=2000):
