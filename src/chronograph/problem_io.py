@@ -116,6 +116,13 @@ def _numbers(value, path, errors, rows_ok=True):
     return arr
 
 
+def _edge_id(value):
+    """An edge id as the outputs write it.  The schema's "integer" type
+    admits floats with zero fraction (1.0); they become ints, so one id has
+    one text form in every output."""
+    return int(value) if isinstance(value, float) else value
+
+
 def _matrix(value, rows, cols, where, errors):
     arr = _numbers(value, where, errors)
     if arr is None:
@@ -156,11 +163,11 @@ def load_problem_dict(doc):
     seen = {}  # an id and its text form -> index of the first edge
     for k, e in enumerate(doc["edges"]):
         where = f"edges/{k}"
-        eid = e["id"]
+        eid = _edge_id(e["id"])
         prior = seen.setdefault(eid, seen.setdefault(str(eid), k))
         if prior != k:
-            errors.append(f"{where}/id: {json.dumps(eid)} is the same id as "
-                          f"edges/{prior}/id in the outputs")
+            errors.append(f"{where}/id: {json.dumps(e['id'])} is the same id "
+                          f"as edges/{prior}/id in the outputs")
         if isinstance(eid, str) and any(c in eid for c in ',"\r\n'):
             errors.append(f"{where}/id: {json.dumps(eid)} contains a comma, a "
                           "double quote, CR or LF, unfit for solution.csv")
@@ -209,7 +216,7 @@ def load_problem_dict(doc):
     first = {}
     known = set(edges)
     for k, b in enumerate(doc.get("blocks", [])):
-        i, j = b["to"], b["from"]
+        i, j = _edge_id(b["to"]), _edge_id(b["from"])
         if i not in known or j not in known:
             errors.append(f"blocks/{k}: unknown edge pair ({j!r} -> {i!r})")
             continue

@@ -20,15 +20,14 @@ the scan's arithmetic rather than repeating it.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
 
 from . import matfun
 from .problem import (EdgeOperator, SampledForcing, TimeGraphProblem,
-                      block_norm, forcing_node_values, stack_edge_values,
-                      validate)
+                      ZeroForcing, block_norm, forcing_node_values,
+                      stack_edge_values, validate)
 
 MILD = "MILD"
 STRONG = "STRONG"
@@ -81,20 +80,23 @@ class SolveReport:
     boundary_residual: float         # ||psi_- - B psi_+ - g|| / (1 + ||g||)
     ode_residual: float              # max scaled one-step recurrence defect
     energy_defect: float
-    monodromy_rcond: float
-    ill_conditioned: bool
     commutator_norm: float           # || [blockdiag(A_j), B] ||, informational
-    # the solve's boundary system and step operators; None from the oracle
-    monodromy: Optional[Monodromy] = None
-    recurrences: Optional[dict] = None  # edge id -> EdgeRecurrence
+    monodromy: Monodromy             # the solve's boundary system
+    recurrences: dict                # edge id -> EdgeRecurrence
+
+    @property
+    def monodromy_rcond(self):
+        """The boundary system's conditioning, read from its Monodromy."""
+        return self.monodromy.rcond
+
+    @property
+    def ill_conditioned(self):
+        """Solved, but with rcond below ILL_CONDITIONED_RCOND."""
+        return bool(self.monodromy.rcond < ILL_CONDITIONED_RCOND)
 
     def psi_minus(self):
         return np.concatenate(
             [self.solutions[e].states[0] for e in self.edge_order])
-
-    def psi_plus(self):
-        return np.concatenate(
-            [self.solutions[e].states[-1] for e in self.edge_order])
 
 
 def _require_valid(problem):
@@ -168,13 +170,16 @@ class EdgeRecurrence:
 
     Eh: np.ndarray  # e^{hA}
     b: np.ndarray   # (steps, dim) increments from the forcing
+    f: np.ndarray   # (steps + 1, dim) forcing at the grid nodes
 
 
 def edge_recurrences(problem):
-    """Step operator and increments per edge: edge id -> EdgeRecurrence.
+    """Step operator, increments and node forcing per edge: edge id ->
+    EdgeRecurrence.
 
     The (e^{hA}, phi1(hA), phi2(hA)) triples of all edges of one dimension
-    come from one stacked augmented exponential.
+    come from one stacked augmented exponential.  The forcing is sampled
+    here, once per edge and solve, and every later consumer reads it.
     """
     gr = problem.graph
     h = {e: float(gr.lengths[e]) / problem.steps_for(e) for e in gr.edges}
@@ -189,7 +194,7 @@ def edge_recurrences(problem):
             f = forcing_node_values(problem, e)
             b = (f[:-1] @ (h[e] * P1_e).T
                  + (f[1:] - f[:-1]) @ (h[e] * P2_e).T)
-            out[e] = EdgeRecurrence(Eh_e, b)
+            out[e] = EdgeRecurrence(Eh_e, b, f)
     return {e: out[e] for e in gr.edges}
 
 
@@ -260,17 +265,17 @@ def _composite_simpson(values, h):
     return total
 
 
-def energy_defect_of(problem, solutions):
+def energy_defect_of(problem, solutions, recurrences):
     """|Re<psi', psi> - (||psi_+||^2 - ||psi_-||^2)/2| with psi' = A psi + f
-    at the nodes and composite Simpson along each edge."""
+    at the nodes (f from the solve's recurrences) and composite Simpson
+    along each edge."""
     inner = 0.0
     plus_sq = 0.0
     minus_sq = 0.0
     for e in problem.graph.edges:
         sol = solutions[e]
         A = problem.operator(e)
-        f = forcing_node_values(problem, e, sol.times)
-        deriv = sol.states @ A.T + f
+        deriv = sol.states @ A.T + recurrences[e].f
         values = np.real(np.sum(np.conj(sol.states) * deriv, axis=1))
         h = sol.times[1] - sol.times[0] if len(sol.times) > 1 else 0.0
         inner += _composite_simpson(values, h)
@@ -335,9 +340,7 @@ def propagate(problem, c, mono, recurrences):
         edge_order=tuple(gr.edges),
         boundary_residual=_boundary_residual(problem, solutions),
         ode_residual=_one_step_defect(solutions, recurrences),
-        energy_defect=energy_defect_of(problem, solutions),
-        monodromy_rcond=mono.rcond,
-        ill_conditioned=bool(mono.rcond < ILL_CONDITIONED_RCOND),
+        energy_defect=energy_defect_of(problem, solutions, recurrences),
         commutator_norm=_commutator_norm(problem),
         monodromy=mono,
         recurrences=recurrences,
@@ -373,16 +376,13 @@ def solution_grade(problem, report=None):
     Constant (including zero) forcing is continuous, and finite samples on a
     uniform grid have bounded one-sided difference quotients, so both grade as
     CLASSICAL.  Non-finite forcing data degrades to STRONG when the residuals
-    are finite, else MILD.  Reported, not proved.
+    are finite, else MILD.  Each forcing spec's own data is tested, so no
+    forcing is sampled here.  Reported, not proved.
     """
-    classical = True
-    for e in problem.graph.edges:
-        spec = problem.forcing.spec_for(e)
-        vals = (spec.values if isinstance(spec, SampledForcing)
-                else forcing_node_values(problem, e))
-        if not np.all(np.isfinite(vals)):
-            classical = False
-    if classical:
+    specs = [problem.forcing.spec_for(e) for e in problem.graph.edges]
+    data = [spec.values if isinstance(spec, SampledForcing) else spec.value
+            for spec in specs if not isinstance(spec, ZeroForcing)]
+    if all(np.all(np.isfinite(d)) for d in data):
         return CLASSICAL
     if report is None or (np.isfinite(report.boundary_residual)
                           and np.isfinite(report.ode_residual)):

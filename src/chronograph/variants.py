@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matfun, solver
 from .problem import (EdgeOperator, Forcing, SampledForcing, TimeGraphProblem,
-                      block_norm, forcing_node_values, stack_edge_values)
+                      block_norm, stack_edge_values)
 
 
 class NonCommuting(Exception):
@@ -176,7 +176,7 @@ def second_order_solve(p: SecondOrderProblem):
 _ENTRYWISE_TOL = 1e-12
 
 
-def _is_real_problem(problem):
+def _is_real_problem(problem, recurrences):
     if any(np.max(np.abs(problem.operator(e).imag)) > 0.0
            for e in problem.graph.edges):
         return False
@@ -184,10 +184,8 @@ def _is_real_problem(problem):
         return False
     if any(np.max(np.abs(v.imag)) > 0.0 for v in problem.g.values()):
         return False
-    for e in problem.graph.edges:
-        if np.max(np.abs(forcing_node_values(problem, e).imag), initial=0.0) > 0.0:
-            return False
-    return True
+    return not any(np.max(np.abs(rec.f.imag), initial=0.0) > 0.0
+                   for rec in recurrences.values())
 
 
 def _metzler(A):
@@ -210,19 +208,20 @@ def _step_powers(Eh, K):
 def verify_mapping_properties(report, problem, strict=False):
     """Numerical verification of realness, positivity and the sup-norm bound.
 
-    report is solver.solve(problem)'s: its monodromy M = I - B E and its step
-    operators are read, not rebuilt, and M is inverted once, for both the
-    positivity check and the sup bound.  Each defect is only populated when
-    its hypotheses hold on the operators; data-side violations (negative f or
-    g entries) are recorded in failed_hypotheses but the defects are still
-    computed, so the caller can inspect without asserting.  strict=True
-    raises HypothesesNotMet as soon as anything failed.
+    report is solver.solve(problem)'s: its monodromy M = I - B E, its step
+    operators and its node forcing are read, not rebuilt, and M is inverted
+    once, for both the positivity check and the sup bound.  Each defect is
+    only populated when its hypotheses hold on the operators; data-side
+    violations (negative f or g entries) are recorded in failed_hypotheses
+    but the defects are still computed, so the caller can inspect without
+    asserting.  strict=True raises HypothesesNotMet as soon as anything
+    failed.
     """
     gr = problem.graph
     failed = []
 
     real_defect = None
-    if _is_real_problem(problem):
+    if _is_real_problem(problem, report.recurrences):
         real_defect = max(
             float(np.max(np.abs(report.solutions[e].states.imag)))
             for e in gr.edges)
@@ -251,8 +250,8 @@ def verify_mapping_properties(report, problem, strict=False):
         g_vec = stack_edge_values(gr, problem.g)
         if np.min(g_vec.real) < 0.0:
             failed.append("g_nonnegative")
-        for e in gr.edges:
-            if np.min(forcing_node_values(problem, e).real, initial=0.0) < 0.0:
+        for e, rec in report.recurrences.items():
+            if np.min(rec.f.real, initial=0.0) < 0.0:
                 failed.append(f"f_nonnegative[{e!r}]")
                 break
 
@@ -266,8 +265,8 @@ def verify_mapping_properties(report, problem, strict=False):
     B_inf = float(np.linalg.norm(B, np.inf))
     g_inf = float(np.max(np.abs(stack_edge_values(gr, problem.g)),
                          initial=0.0))
-    f_inf = max(float(np.max(np.abs(forcing_node_values(problem, e)),
-                             initial=0.0)) for e in gr.edges)
+    f_inf = max(float(np.max(np.abs(rec.f), initial=0.0))
+                for rec in report.recurrences.values())
     bound = (Emax * Minv_norm * (g_inf + B_inf * amax * Emax * f_inf)
              + amax * Emax * f_inf)
     observed = max(float(np.max(np.abs(report.solutions[e].states)))

@@ -55,7 +55,7 @@ def test_reference_solver_agreement_and_convergence_order():
         for e in p.graph.edges:
             stride = 10_000 // p.steps_for(e)
             worst = max(worst, float(np.max(np.abs(
-                mine.solutions[e].states - ref.solutions[e].states[::stride]))))
+                mine.solutions[e].states - ref[e].states[::stride]))))
         assert worst <= 1e-6, sid
 
         errors = []
@@ -66,7 +66,7 @@ def test_reference_solver_agreement_and_convergence_order():
                 stride = n // p.steps_for(e)
                 err = max(err, float(np.max(np.abs(
                     mine.solutions[e].states
-                    - refine.solutions[e].states[::stride]))))
+                    - refine[e].states[::stride]))))
             errors.append(err)
         if errors[-1] < 1e-12:
             continue  # reference is exact here (steady state), no order to fit

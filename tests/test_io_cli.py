@@ -221,8 +221,9 @@ def test_solution_csv_matches_per_value_writer_on_edge_values():
     times = np.array([-0.0, 0.5, 1.0])
     sols = {"a%d%%s": solver.EdgeSolution("a%d%%s", times, narrow),
             7: solver.EdgeSolution(7, times, wide)}
-    rep = solver.SolveReport(sols, ("a%d%%s", 7), 0.0, 0.0, 0.0, 1.0, False,
-                             0.0)
+    mono = solver.Monodromy(np.eye(4), 1.0, 1.0, {})
+    rep = solver.SolveReport(sols, ("a%d%%s", 7), 0.0, 0.0, 0.0, 0.0, mono,
+                             {})
     text = solution_csv(rep)
     assert text == per_value_solution_csv(rep)
     assert text.split("\n")[1] == "a%d%%s,0,0,,,0,,"
@@ -276,6 +277,34 @@ def test_cli_rejects_ids_with_the_same_text_form(tmp_path, capsys):
     assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
     assert one_error_line(capsys) == \
         'edges/1/id: "0" is the same id as edges/0/id in the outputs'
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_writes_an_integral_float_id_as_an_int(tmp_path):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["edges"][0]["id"] = 1.0
+    doc["blocks"][0].update({"from": 1, "to": 1.0})
+    path = make_problem_file(tmp_path, doc)
+    assert cli.main(["solve", path, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [repr(edge["id"]) for edge in report["edges"]] == ["1"]
+    assert list(report["hypotheses"]["dissipativity_margin"]) == ["1"]
+    rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"1"}
+
+
+@pytest.mark.parametrize("other", [1, "1"], ids=["int", "string"])
+def test_cli_rejects_an_integral_float_id_beside_its_int(tmp_path, capsys,
+                                                         other):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["edges"][0]["id"] = 1.0
+    doc["edges"].append(dict(doc["edges"][0], id=other))
+    doc["blocks"] = []
+    path = make_problem_file(tmp_path, doc)
+    assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    assert one_error_line(capsys) == (f"edges/1/id: {json.dumps(other)} is "
+                                      "the same id as edges/0/id in the "
+                                      "outputs")
     assert not (tmp_path / "report.json").exists()
 
 

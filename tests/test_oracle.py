@@ -18,7 +18,7 @@ def test_reference_solver_matches_exponential_path():
         ref = oracle.cn_solve(p, 2000)
         for e in p.graph.edges:
             assert np.max(np.abs(mine.solutions[e].states
-                                 - ref.solutions[e].states[::20])) <= 2e-5
+                                 - ref[e].states[::20])) <= 2e-5
 
 
 def test_reference_solver_second_order_convergence():
@@ -27,7 +27,7 @@ def test_reference_solver_second_order_convergence():
     errs = []
     for n in (200, 400):
         ref = oracle.cn_solve(p, n)
-        errs.append(np.max(np.abs(ref.solutions[0].states[::n // 100] - exact)))
+        errs.append(np.max(np.abs(ref[0].states[::n // 100] - exact)))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
 

@@ -10,11 +10,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from chronograph import cli, matfun, problem_io, scenarios, solver, variants
+from chronograph import (cli, matfun, oracle, problem_io, scenarios, solver,
+                         variants)
+from chronograph import problem as problem_module
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  SampledForcing, TimeGraphProblem,
-                                 TransmissionOperator, forcing_node_values)
+                                 TransmissionOperator, forcing_node_values,
+                                 stack_edge_values)
 from conftest import preset
 
 
@@ -171,13 +174,17 @@ def test_forced_terminal_integrals_scalar_value():
 
 
 def test_report_trace_views():
-    rep = solver.solve(preset("tadpole"))
+    p = preset("tadpole")
+    rep = solver.solve(p)
     assert np.allclose(rep.psi_minus(),
                        [rep.solutions[0].states[0, 0],
                         rep.solutions[1].states[0, 0]])
-    assert np.allclose(rep.psi_plus(),
-                       [rep.solutions[0].states[-1, 0],
-                        rep.solutions[1].states[-1, 0]])
+    # the terminal values close the boundary identity psi_- = B psi_+ + g
+    plus = np.concatenate([rep.solutions[e].states[-1]
+                           for e in rep.edge_order])
+    assert np.allclose(rep.psi_minus(),
+                       p.B.assemble(p.graph) @ plus
+                       + stack_edge_values(p.graph, p.g))
 
 
 def sequential_states(problem, edge, start):
@@ -368,6 +375,8 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     svd_shapes = []
     inverted = []
     eig_calls = []
+    forcing_edges = collections.Counter()
+    diagnostic_stages = collections.defaultdict(list)
 
     def in_stage(name, fn):
         def wrapper(*args, **kwargs):
@@ -399,12 +408,34 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
         eig_calls.append(np.shape(A))
         return _eig(A)
 
+    def counted_forcing(problem, edge, *args,
+                        _fnv=problem_module.forcing_node_values, **kwargs):
+        forcing_edges[edge] += 1
+        return _fnv(problem, edge, *args, **kwargs)
+
+    def staged(name, fn):
+        def wrapper(*args, **kwargs):
+            diagnostic_stages[name].append(stage[-1])
+            return fn(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(matfun, "expm", counted_expm)
     monkeypatch.setattr(matfun, "hermitian_eig", counted_eig)
     for name in ("assemble_monodromy", "edge_recurrences"):
         monkeypatch.setattr(solver, name,
                             in_stage(name, getattr(solver, name)))
     monkeypatch.setattr(cli, "diagnose", in_stage("diagnose", cli.diagnose))
+    monkeypatch.setattr(oracle, "cn_solve", in_stage("cn_solve",
+                                                     oracle.cn_solve))
+    # every binding of the forcing sampler, as perfbench's tracer patches it
+    for module in (problem_module, solver, oracle, variants):
+        if hasattr(module, "forcing_node_values"):
+            monkeypatch.setattr(module, "forcing_node_values",
+                                counted_forcing)
+    diagnostics = ("energy_defect_of", "_boundary_residual",
+                   "_commutator_norm")
+    for name in diagnostics:
+        monkeypatch.setattr(solver, name, staged(name, getattr(solver, name)))
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     monkeypatch.setattr(numpy.linalg._linalg, "svd", recorded_svd)
     monkeypatch.setattr(np.linalg, "inv", recorded("inv", np.linalg.inv))
@@ -413,6 +444,9 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
                             recorded(name, getattr(scipy.linalg, name)))
 
     assert cli.run_solve(str(path), str(tmp_path)) == 0
+    # the forcing is sampled once per edge and solve, and every consumer
+    # reads those samples
+    assert forcing_edges == collections.Counter(range(n))
     # one stacked exponential per stage and dim group (expm_phi12's
     # augmented matrices are 3d x 3d), none anywhere else
     groups = sorted(set(dims))
@@ -432,15 +466,19 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
         return
 
     # compare: the fixed-point iteration reuses the solve's system, so the
-    # solve's SVD and the two reference solves' are the only n x n ones
+    # solve's SVD and the two reference solves' are the only n x n ones;
+    # the reference returns trajectories, so each diagnostic runs once, in
+    # the solve, and never inside cn_solve
     expm_calls.clear()
     svd_shapes.clear()
+    diagnostic_stages.clear()
     assert cli.run_compare(str(path), {"cn_steps": 40, "tol": 1e-2,
                                        "out": str(tmp_path)}) == 0
     assert json.loads((tmp_path / "compare.json").read_text())["picard"] \
         == {"converged": True}
     assert expm_calls == solve_expms
     assert square_svds() == [(size, size)] * 3
+    assert diagnostic_stages == {name: [None] for name in diagnostics}
 
     # mapping properties read the report's operators and invert M once
     problem, _, _ = problem_io.load_problem_file(str(path))
@@ -448,7 +486,9 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     expm_calls.clear()
     svd_shapes.clear()
     inverted.clear()
+    forcing_edges.clear()
     variants.verify_mapping_properties(report, problem)
     assert expm_calls == collections.Counter()
+    assert forcing_edges == collections.Counter()
     assert square_svds() == []
     assert inverted == [("inv", (size, size))]

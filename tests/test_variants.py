@@ -416,9 +416,10 @@ def dense_verify_mapping_properties(report, problem):
     the step operators and inverted I - B E twice, kept as the reference for
     the version that reads the solve's own."""
     gr = problem.graph
+    recurrences = solver.edge_recurrences(problem)
     failed = []
     real_defect = None
-    if variants._is_real_problem(problem):
+    if variants._is_real_problem(problem, recurrences):
         real_defect = max(
             float(np.max(np.abs(report.solutions[e].states.imag)))
             for e in gr.edges)
@@ -461,7 +462,7 @@ def dense_verify_mapping_properties(report, problem):
     amax = max(float(gr.lengths[e]) for e in gr.edges)
     Emax = max(float(np.max(np.sum(np.abs(
         variants._step_powers(rec.Eh, problem.steps_for(e))), axis=-1)))
-        for e, rec in solver.edge_recurrences(problem).items())
+        for e, rec in recurrences.items())
     Minv_norm = float(np.linalg.norm(np.linalg.inv(mono.M), np.inf))
     B_inf = float(np.linalg.norm(B, np.inf))
     g_inf = float(np.max(np.abs(stack_edge_values(gr, problem.g)),
