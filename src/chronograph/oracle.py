@@ -36,15 +36,16 @@ PICARD_TOL = 1e-12
 BRUTE_FORCE_MAX_N = 8
 
 
-def _cn_edge_maps(A, a, steps):
-    """One-step Crank-Nicolson map P and forcing weight W for one edge."""
+def _cn_edge_maps(A, a, f):
+    """One-step Crank-Nicolson map P of one edge, and the forcing term
+    r[k] = W (f[k] + f[k+1]) of every step for the node forcing f."""
     d = A.shape[0]
-    h = float(a) / steps
+    h = float(a) / (len(f) - 1)
     L = np.eye(d, dtype=complex) - 0.5 * h * A
     lu = la.lu_factor(L)
     P = la.lu_solve(lu, np.eye(d, dtype=complex) + 0.5 * h * A)
     W = la.lu_solve(lu, 0.5 * h * np.eye(d, dtype=complex))
-    return P, W
+    return P, (W @ (f[:-1] + f[1:])[..., None])[..., 0]
 
 
 def cn_solve(problem, steps_per_edge):
@@ -52,10 +53,10 @@ def cn_solve(problem, steps_per_edge):
     with the exponential path: {edge id: EdgeSolution} in graph order.
 
     Per-edge trapezoidal one-step maps are composed into a discrete terminal
-    propagator; the same boundary equation (I - B E~) c = g + B F~ is then
-    solved densely and the trajectory re-propagated on the fine grid.  Second
-    order accurate in the step size.  A numerically singular I - B E~
-    raises NotWellPosed.
+    propagator P^N; the same boundary equation (I - B E~) c = g + B F~ is
+    then solved, with I - B E~ built block by block, and the trajectory
+    re-propagated on the fine grid.  Second order accurate in the step size.
+    A numerically singular I - B E~ raises NotWellPosed.
     """
     violations = validate(problem)
     if violations:
@@ -63,42 +64,39 @@ def cn_solve(problem, steps_per_edge):
     gr = problem.graph
     N = int(steps_per_edge)
     off = gr.offsets()
-    n = gr.size()
 
     maps = {}
-    E_tilde = np.zeros((n, n), dtype=complex)
+    terminal = {}
     F_parts = {}
     for e in gr.edges:
-        A = problem.operator(e)
-        P, W = _cn_edge_maps(A, gr.lengths[e], N)
         times = np.linspace(0.0, float(gr.lengths[e]), N + 1)
-        f = forcing_node_values(problem, e, times)
-        maps[e] = (P, W, times, f)
-        s = off[e]
-        d = gr.dims[e]
-        E_tilde[s:s + d, s:s + d] = np.linalg.matrix_power(P, N)
-        u = np.zeros(d, dtype=complex)
+        P, r = _cn_edge_maps(problem.operator(e), gr.lengths[e],
+                             forcing_node_values(problem, e, times))
+        maps[e] = (P, times, r)
+        terminal[e] = np.linalg.matrix_power(P, N)
+        u = np.zeros(gr.dims[e], dtype=complex)
         for k in range(N):
-            u = P @ u + W @ (f[k] + f[k + 1])
+            u = P @ u + r[k]
         F_parts[e] = u
 
-    B = problem.B.assemble(gr)
-    M = np.eye(n, dtype=complex) - B @ E_tilde
+    M = np.eye(gr.size(), dtype=complex)
+    for (i, j), m in problem.B.blocks.items():
+        M[off[i]:off[i] + gr.dims[i], off[j]:off[j] + gr.dims[j]] -= \
+            m @ terminal[j]
     rcond = matfun.rcond_identity_scale(M)
     if rcond < solver.SINGULAR_RCOND:
         raise NotWellPosed(rcond)
     g = stack_edge_values(gr, problem.g)
     F_tilde = np.concatenate([F_parts[e] for e in gr.edges])
-    c = np.linalg.solve(M, g + B @ F_tilde)
+    c = np.linalg.solve(M, g + problem.B.apply(gr, F_tilde))
 
     solutions = {}
     for e in gr.edges:
-        P, W, times, f = maps[e]
-        d = gr.dims[e]
-        states = np.empty((N + 1, d), dtype=complex)
-        states[0] = c[off[e]:off[e] + d]
+        P, times, r = maps.pop(e)  # frees each edge's forcing terms early
+        states = np.empty((N + 1, gr.dims[e]), dtype=complex)
+        states[0] = c[off[e]:off[e] + gr.dims[e]]
         for k in range(N):
-            states[k + 1] = P @ states[k] + W @ (f[k] + f[k + 1])
+            states[k + 1] = P @ states[k] + r[k]
         solutions[e] = EdgeSolution(e, times, states)
     return solutions
 
@@ -119,7 +117,7 @@ def picard_boundary(problem, report):
         raise PicardDivergence(rho)
     gr = problem.graph
     g = stack_edge_values(gr, problem.g)
-    base = problem.B.assemble(gr) @ F + g
+    base = problem.B.apply(gr, F) + g
     c = np.zeros(gr.size(), dtype=complex)
     for _ in range(PICARD_MAX_ITER):
         nxt = BE @ c + base

@@ -40,18 +40,15 @@ class TransmissionOperator:
             (i, j): np.asarray(m, dtype=complex)
             for (i, j), m in self.blocks.items()})
 
-    def assemble(self, graph):
-        """Dense matrix over the stacked boundary space, graph edge order."""
+    def apply(self, graph, x):
+        """B x over the stacked boundary space, one block at a time; no
+        n x n matrix is formed."""
         off = graph.offsets()
-        n = graph.size()
-        B = np.zeros((n, n), dtype=complex)
+        out = np.zeros(graph.size(), dtype=complex)
         for (i, j), m in self.blocks.items():
-            B[off[i]:off[i] + graph.dims[i], off[j]:off[j] + graph.dims[j]] = m
-        return B
-
-    def norm(self, graph):
-        """Operator 2-norm (largest singular value) of the assembled matrix."""
-        return block_norm(graph, self.blocks)
+            out[off[i]:off[i] + graph.dims[i]] += \
+                m @ x[off[j]:off[j] + graph.dims[j]]
+        return out
 
 
 def _local_offsets(graph, edges, pos):
@@ -133,7 +130,7 @@ class SampledForcing:
 class Forcing:
     """Per-edge forcing; edges without an entry get zero forcing."""
 
-    per_edge: dict = field(default_factory=dict)
+    per_edge: dict
 
     @staticmethod
     def zero():
@@ -190,7 +187,7 @@ class HypothesisReport:
     B_norm: float
     monodromy_rcond: float
     sufficient_condition_met: bool
-    epsilon: Optional[float] = None  # uniform decay margin when all abscissas < 0
+    epsilon: Optional[float]  # uniform decay margin when all abscissas < 0
 
 
 def forcing_node_values(problem, edge, times=None):
@@ -317,7 +314,7 @@ def diagnose(problem, mono):
         mu.update(zip(edges, numerical_abscissa(
             problem.operator_stack(edges)).tolist()))
     mu = {e: mu[e] for e in gr.edges}
-    B_norm = problem.B.norm(gr)
+    B_norm = block_norm(gr, problem.B.blocks)
     worst = max(mu.values())
     met = (worst <= 0.0 and B_norm < 1.0) or \
           (worst < 0.0 and B_norm <= 1.0 + _NORM_ONE_SLACK)

@@ -255,7 +255,7 @@ def load_problem_file(path):
     return load_problem_dict(doc)
 
 
-def problem_to_dict(problem, mode="parabolic", options=None):
+def problem_to_dict(problem, mode, options):
     """Problem document for a model object (inverse of load_problem_dict)."""
     gr = problem.graph
     edges = []

@@ -240,7 +240,7 @@ def solve_boundary(problem, mono, F):
     second estimate could refuse a system this one accepts.
     """
     g = stack_edge_values(problem.graph, problem.g)
-    rhs = g + problem.B.assemble(problem.graph) @ F
+    rhs = g + problem.B.apply(problem.graph, F)
     if mono.rcond < SINGULAR_RCOND:
         raise NotWellPosed(mono.rcond)
     return la.solve(mono.M, rhs)
@@ -306,8 +306,7 @@ def _boundary_residual(problem, solutions):
     minus = np.concatenate([solutions[e].states[0] for e in gr.edges])
     plus = np.concatenate([solutions[e].states[-1] for e in gr.edges])
     g = stack_edge_values(gr, problem.g)
-    B = problem.B.assemble(gr)
-    return float(np.linalg.norm(minus - B @ plus - g)
+    return float(np.linalg.norm(minus - problem.B.apply(gr, plus) - g)
                  / (1.0 + np.linalg.norm(g)))
 
 

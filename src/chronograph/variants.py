@@ -112,7 +112,7 @@ def unitarity_check(report, problem):
     comm = block_norm(gr, {(i, j): m @ E[j] - E[i] @ m
                            for (i, j), m in blocks.items()})
     E_norm = block_norm(gr, {(e, e): E[e] for e in gr.edges})
-    if comm > _COMMUTATOR_TOL * max(1.0, problem.B.norm(gr) * E_norm):
+    if comm > _COMMUTATOR_TOL * max(1.0, block_norm(gr, blocks) * E_norm):
         raise NonCommuting(f"||[B, e^(iaH)]|| = {comm:.3e} exceeds tolerance")
     # B^2 - 2 B cos(aH); (B^2)_ik sums B_ij B_jk over the shared edges j
     by_row = {}
@@ -210,10 +210,11 @@ def verify_mapping_properties(report, problem, strict=False):
 
     report is solver.solve(problem)'s: its monodromy M = I - B E, its step
     operators and its node forcing are read, not rebuilt, and M is inverted
-    once, for both the positivity check and the sup bound.  Each defect is
-    only populated when its hypotheses hold on the operators; data-side
-    violations (negative f or g entries) are recorded in failed_hypotheses
-    but the defects are still computed, so the caller can inspect without
+    once, for both the positivity check and the sup bound.  B's sign checks
+    and ||B||_inf are read from its blocks.  Each defect is only populated
+    when its hypotheses hold on the operators; data-side violations
+    (negative f or g entries) are recorded in failed_hypotheses but the
+    defects are still computed, so the caller can inspect without
     asserting.  strict=True raises HypothesesNotMet as soon as anything
     failed.
     """
@@ -228,10 +229,9 @@ def verify_mapping_properties(report, problem, strict=False):
     else:
         failed.append("real_data")
 
-    B = problem.B.assemble(gr)
     operators_ok = True
-    if np.max(np.abs(B.imag), initial=0.0) > 0.0 or \
-            np.min(B.real, initial=0.0) < -_ENTRYWISE_TOL:
+    if any(np.any(m.imag != 0.0) or np.min(m.real) < -_ENTRYWISE_TOL
+           for m in problem.B.blocks.values()):
         failed.append("B_entrywise_nonnegative")
         operators_ok = False
     if not all(_metzler(problem.operator(e)) for e in gr.edges):
@@ -262,7 +262,12 @@ def verify_mapping_properties(report, problem, strict=False):
         _step_powers(rec.Eh, problem.steps_for(e))), axis=-1)))
         for e, rec in report.recurrences.items())
     Minv_norm = float(np.linalg.norm(Minv, np.inf))
-    B_inf = float(np.linalg.norm(B, np.inf))
+    # ||B||_inf: the largest absolute row sum, the rows of each receiving
+    # edge summed over the blocks that feed it
+    row_sums = {}
+    for (i, _), m in problem.B.blocks.items():
+        row_sums[i] = row_sums.get(i, 0.0) + np.sum(np.abs(m), axis=1)
+    B_inf = max((float(np.max(r)) for r in row_sums.values()), default=0.0)
     g_inf = float(np.max(np.abs(stack_edge_values(gr, problem.g)),
                          initial=0.0))
     f_inf = max(float(np.max(np.abs(rec.f), initial=0.0))

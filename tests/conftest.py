@@ -17,6 +17,16 @@ def preset(scenario_id, **overrides):
     return problem
 
 
+def dense_B(graph, B):
+    """B as a dense n x n matrix over the stacked boundary space, graph edge
+    order: the reference that the package's block-by-block code replaces."""
+    off = graph.offsets()
+    out = np.zeros((graph.size(), graph.size()), dtype=complex)
+    for (i, j), m in B.blocks.items():
+        out[off[i]:off[i] + graph.dims[i], off[j]:off[j] + graph.dims[j]] = m
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)

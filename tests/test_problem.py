@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
@@ -10,6 +10,7 @@ from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  numerical_abscissa, stack_edge_values,
                                  validate)
 from chronograph.solver import assemble_monodromy
+from conftest import dense_B
 
 
 def scalar_problem(A=-1.0, B=1.0, g=None, f=1.0, steps=100, length=1.0):
@@ -125,11 +126,11 @@ def test_transmission_assembly_and_norm():
     g = TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 1, 1: 2})
     B = TransmissionOperator({(1, 0): np.array([[1.0], [2.0]]),
                               (0, 0): np.array([[0.5]])})
-    dense = B.assemble(g)
+    dense = dense_B(g, B)
     assert dense.shape == (3, 3)
     assert dense[0, 0] == 0.5
     assert np.allclose(dense[1:, 0], [1.0, 2.0])
-    assert abs(B.norm(g) - np.linalg.norm(dense, 2)) <= 1e-14
+    assert abs(block_norm(g, B.blocks) - np.linalg.norm(dense, 2)) <= 1e-14
 
 
 @given(st.integers(1, 6), st.floats(0.1, 0.9), st.integers(0, 10 ** 6))
@@ -141,8 +142,40 @@ def test_block_norm_matches_dense_norm(n, density, seed):
         (i, j): r.standard_normal((dims[i], dims[j]))
         + 1j * r.standard_normal((dims[i], dims[j]))
         for i in range(n) for j in range(n) if r.random() < density})
-    dense = np.linalg.norm(B.assemble(g), 2)
+    dense = np.linalg.norm(dense_B(g, B), 2)
     assert abs(block_norm(g, B.blocks) - dense) <= 1e-13 * max(dense, 1.0)
+
+
+@st.composite
+def block_patterns(draw):
+    """A graph with dims 1-3 and a random block pattern: self-loops, rows
+    fed by several blocks and edges with no block all occur."""
+    n = draw(st.integers(1, 6))
+    dims = {e: draw(st.integers(1, 3)) for e in range(n)}
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)),
+                         max_size=n * n))
+    return TimeGraph(tuple(range(n)), {e: 1.0 for e in range(n)}, dims), pairs
+
+
+@given(block_patterns(), st.integers(0, 10 ** 6))
+@example((TimeGraph((0, 1, 2, 3), {e: 1.0 for e in range(4)},
+                    {0: 2, 1: 3, 2: 1, 3: 2}),
+          {(0, 0), (1, 0), (1, 2)}), 0)
+def test_apply_matches_the_dense_product(pattern, seed):
+    g, pairs = pattern
+    r = np.random.default_rng(seed)
+    B = TransmissionOperator({
+        (i, j): r.standard_normal((g.dims[i], g.dims[j]))
+        + 1j * r.standard_normal((g.dims[i], g.dims[j]))
+        for i, j in pairs})
+    x = r.standard_normal(g.size()) + 1j * r.standard_normal(g.size())
+    dense = dense_B(g, B)
+    got = B.apply(g, x)
+    want = dense @ x
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= \
+        1e-14 * max(1.0, float(np.max(np.abs(dense) @ np.abs(x))))
 
 
 def diagnose_alone(problem):

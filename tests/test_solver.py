@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  SampledForcing, TimeGraphProblem,
                                  TransmissionOperator, forcing_node_values,
                                  stack_edge_values)
-from conftest import preset
+from conftest import dense_B, preset
 
 
 def ivp_problem(A, g0, f=None, length=1.0, steps=100):
@@ -144,7 +145,7 @@ def dense_monodromy(problem):
     E = scipy.linalg.block_diag(*[
         scipy.linalg.expm(float(gr.lengths[e]) * problem.operator(e))
         for e in gr.edges])
-    return np.eye(gr.size()) - problem.B.assemble(gr) @ E
+    return np.eye(gr.size()) - dense_B(gr, problem.B) @ E
 
 
 @given(st.integers(1, 5), st.integers(0, 10 ** 6))
@@ -183,7 +184,7 @@ def test_report_trace_views():
     plus = np.concatenate([rep.solutions[e].states[-1]
                            for e in rep.edge_order])
     assert np.allclose(rep.psi_minus(),
-                       p.B.assemble(p.graph) @ plus
+                       dense_B(p.graph, p.B) @ plus
                        + stack_edge_values(p.graph, p.g))
 
 
@@ -317,7 +318,7 @@ def test_commutator_norm_matches_dense_commutator_on_presets():
         p = preset(sid)
         gr = p.graph
         AV = scipy.linalg.block_diag(*[p.operator(e) for e in gr.edges])
-        B = p.B.assemble(gr)
+        B = dense_B(gr, p.B)
         dense = np.linalg.norm(AV @ B - B @ AV, 2)
         assert abs(solver._commutator_norm(p) - dense) \
             <= 1e-13 * max(dense, 1.0), sid
@@ -492,3 +493,25 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     assert forcing_edges == collections.Counter()
     assert square_svds() == []
     assert inverted == [("inv", (size, size))]
+
+
+def test_dense_memory_stays_within_budget():
+    """M is the only n x n array a solve or the Crank-Nicolson reference
+    holds, so each peaks within M plus one workspace, in units of one
+    complex n x n array (16 n^2 bytes); a dense B or E~ beside M exceeds
+    the budget."""
+    n = 400
+    problem, _, _ = problem_io.load_problem_dict(scalar_graph_doc(n, True))
+    unit = 16 * n * n
+
+    def peak(fn):
+        fn()  # first call outside the trace: imports and caches
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: solver.solve(problem)) <= 1.75
+    assert peak(lambda: oracle.cn_solve(problem, 8)) <= 2.0

@@ -12,7 +12,7 @@ from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  TimeGraphProblem, TransmissionOperator,
                                  forcing_node_values, stack_edge_values)
 from chronograph.matfun import NotHermitian
-from conftest import preset
+from conftest import dense_B, preset
 
 
 def hermitian(seed, n):
@@ -141,7 +141,7 @@ def dense_unitarity_check(p):
         e: matfun.funm_hermitian(eigs[e],
                                  lambda x, a=gr.lengths[e]: cmath.exp(1j * a * x))
         for e in gr.edges})
-    B = p.base.B.assemble(gr)
+    B = dense_B(gr, p.base.B)
     comm = float(np.linalg.norm(B @ E_phase - E_phase @ B, 2))
     scale = max(1.0, np.linalg.norm(B, 2) * np.linalg.norm(E_phase, 2))
     if comm > variants._COMMUTATOR_TOL * scale:
@@ -425,7 +425,7 @@ def dense_verify_mapping_properties(report, problem):
             for e in gr.edges)
     else:
         failed.append("real_data")
-    B = problem.B.assemble(gr)
+    B = dense_B(gr, problem.B)
     tol = variants._ENTRYWISE_TOL
     operators_ok = True
     if np.max(np.abs(B.imag), initial=0.0) > 0.0 or \
