@@ -291,7 +291,8 @@ def _compare(path, cn_steps_req, tol, out_dir):
 
 
 def _parse_overrides(pairs):
-    casts = {"alpha": float, "dim": int, "steps": int}
+    casts = {"alpha": (float, "a number"), "dim": (int, "an integer"),
+             "steps": (int, "an integer")}
     out = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
@@ -300,7 +301,12 @@ def _parse_overrides(pairs):
         if key not in casts:
             raise ValueError(f"unknown override key {key!r} "
                              f"(expected one of {sorted(casts)})")
-        out[key] = casts[key](value)
+        cast, kind = casts[key]
+        try:
+            out[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"override {key!r}: {value!r} is not "
+                             f"{kind}") from None
     return out
 
 

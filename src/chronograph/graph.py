@@ -78,9 +78,10 @@ def _check_pattern(pattern):
 
 
 def _topological_ordering(pattern):
-    """Dependencies-first edge ordering, or None when the off-diagonal
-    dependency digraph has a cycle.  Smallest index first among the ready set,
-    so results are reproducible."""
+    """Dependencies-first order of the edges that can be placed (Kahn's
+    pass).  Smallest index first among the ready set, so results are
+    reproducible.  Every edge is placed exactly when the off-diagonal
+    dependency digraph has no cycle."""
     n = pattern.n
     indegree = [0] * n
     dependents = [[] for _ in range(n)]  # j -> rows i that receive from j
@@ -99,103 +100,32 @@ def _topological_ordering(pattern):
             indegree[i] -= 1
             if indegree[i] == 0:
                 heapq.heappush(ready, i)
-    if len(order) != n:
-        return None
     return tuple(order)
 
 
-def _strongly_connected_components(n, adj):
-    """Tarjan's algorithm, iterative.  Returns components as sorted tuples."""
-    index = [None] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack = []
-    components = []
-    counter = [0]
+def _cycle_among(waiting, pattern):
+    """The loop that blocks the smallest edge the ordering could not place.
 
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] is None:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return components
-
-
-def _shortest_cycle(component, adj):
-    """Shortest directed cycle inside one strongly connected component.
-
-    Every cycle is found by the BFS from its smallest member, so the BFS from
-    s visits only members >= s, and it stops once the cycles it could still
-    close are no shorter than the best one so far.  Starts run in ascending
-    order and only a strictly shorter cycle replaces the best, so the witness
-    is the first shortest cycle found from the smallest possible start: it is
-    reproducible.  The returned list follows receives-from arcs: consecutive
-    entries (cyclically) are (i, j) pairs of the pattern.
+    A waiting edge's in-degree never reached zero, so it still receives from
+    a waiting edge: the walk from the smallest waiting edge to its smallest
+    waiting sender, and on, must repeat an edge.  The loop it closes is
+    listed from its smallest member; each entry receives from the next,
+    cyclically.
     """
-    members = set(component)
-    best = None
-    for s in sorted(component):
-        parent = {s: None}
-        frontier = [s]
-        length = 1  # of a cycle closed by an arc from the frontier to s
-        found = None
-        while frontier and found is None and (best is None
-                                              or length < len(best)):
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w < s or w not in members:
-                        continue
-                    if w == s:
-                        found = v
-                        break
-                    if w not in parent:
-                        parent[w] = v
-                        nxt.append(w)
-                if found is not None:
-                    break
-            frontier = nxt
-            length += 1
-        if found is None:
-            continue
-        path = [found]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()  # s ... found, following arcs forward
-        best = path
-    return tuple(best) if best is not None else None
+    sender = {}
+    for i, j in pattern.nonzero:
+        if i != j and i in waiting and j in waiting:
+            sender[i] = min(sender.get(i, j), j)
+    v = min(waiting)
+    position = {}
+    walk = []
+    while v not in position:
+        position[v] = len(walk)
+        walk.append(v)
+        v = sender[v]
+    loop = walk[position[v]:]
+    k = loop.index(min(loop))
+    return tuple(loop[k:] + loop[:k])
 
 
 def classify_solvability(pattern):
@@ -205,26 +135,20 @@ def classify_solvability(pattern):
     lower-triangular (pure initial value problems, solved in order).
     CAUCHY_SEQUENCE: lower-triangular achievable but diagonal blocks remain
     (each step is a single-interval problem with its own boundary coupling).
-    GLOBAL_ONLY: a boundary-reflected loop forces a global solve; the witness
-    cycle lists edges such that each receives from the next, cyclically.
+    GLOBAL_ONLY: the ordering stalls on a boundary-reflected loop, which
+    forces a global solve.  The witness cycle is the loop that blocks the
+    smallest edge the ordering cannot place, listed from its smallest member
+    so that each entry receives from the next, cyclically.
     """
     _check_pattern(pattern)
-    n = pattern.n
     ordering = _topological_ordering(pattern)
+    if len(ordering) < pattern.n:
+        waiting = set(range(pattern.n)) - set(ordering)
+        return SolvabilityReport(GLOBAL_ONLY,
+                                 blocking_cycle=_cycle_among(waiting, pattern))
     has_diagonal = any(i == j for i, j in pattern.nonzero)
-    if ordering is not None:
-        category = CAUCHY_SEQUENCE if has_diagonal else IVP_SEQUENCE
-        return SolvabilityReport(category, ordering=ordering)
-    # receives-from adjacency, off-diagonal only
-    adj = [[] for _ in range(n)]
-    for i, j in sorted(pattern.nonzero):
-        if i != j:
-            adj[i].append(j)
-    components = [c for c in _strongly_connected_components(n, adj)
-                  if len(c) >= 2]
-    first = min(components, key=min)
-    cycle = _shortest_cycle(first, adj)
-    return SolvabilityReport(GLOBAL_ONLY, blocking_cycle=cycle)
+    category = CAUCHY_SEQUENCE if has_diagonal else IVP_SEQUENCE
+    return SolvabilityReport(category, ordering=ordering)
 
 
 def pattern_of(B, graph):

@@ -193,6 +193,11 @@ def load_problem_dict(doc):
                 g[eid] = vec
         f = e.get("f", {"kind": "zero"})
         kind = f["kind"]
+        if kind == "zero":
+            if "value" in f:
+                errors.append(f"{where}/f/value: a zero forcing takes no "
+                              "value")
+            continue
         val = _numbers(f.get("value", []), f"{where}/f/value", errors)
         if val is None:
             pass
@@ -210,7 +215,6 @@ def load_problem_dict(doc):
                     f"({steps[eid] + 1}, {d})")
             else:
                 forcing_map[eid] = SampledForcing(val)
-        # zero forcing: omit the entry
 
     blocks = {}
     first = {}

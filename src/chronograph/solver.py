@@ -106,11 +106,15 @@ def _require_valid(problem):
 
 
 def _require_finite(problem, edges, what, *stacks):
-    """Reject an overflowed stack of per-edge matrices, naming the first
-    offending edge and its length; what(edge) says what overflowed."""
+    """Reject overflowed per-edge arrays, naming the first offending edge
+    and its length; what(edge) says what overflowed.  Each stack holds one
+    array per edge: stacked matrices, or a list when their shapes differ."""
     ok = np.ones(len(edges), dtype=bool)
     for stack in stacks:
-        ok &= np.isfinite(stack).all(axis=(-2, -1))
+        if isinstance(stack, list):
+            ok &= [np.isfinite(x).all() for x in stack]
+        else:
+            ok &= np.isfinite(stack).all(axis=(-2, -1))
     if not ok.all():
         e = edges[int(np.argmin(ok))]
         raise ValueError(f"edge {e!r} (length "
@@ -192,9 +196,12 @@ def edge_recurrences(problem):
                         f"h = {h[e]!r}", Eh, P1, P2)
         for e, Eh_e, P1_e, P2_e in zip(edges, Eh, P1, P2):
             f = forcing_node_values(problem, e)
-            b = (f[:-1] @ (h[e] * P1_e).T
-                 + (f[1:] - f[:-1]) @ (h[e] * P2_e).T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                b = (f[:-1] @ (h[e] * P1_e).T
+                     + (f[1:] - f[:-1]) @ (h[e] * P2_e).T)
             out[e] = EdgeRecurrence(Eh_e, b, f)
+        _require_finite(problem, edges, lambda e: f"the forcing increment "
+                        f"for h = {h[e]!r}", [out[e].b for e in edges])
     return {e: out[e] for e in gr.edges}
 
 
@@ -228,8 +235,12 @@ def forced_terminal_integrals(problem, recurrences):
     """
     _require_valid(problem)
     gr = problem.graph
-    return np.concatenate([_scan(recurrences[e], np.zeros(gr.dims[e]))[-1]
-                           for e in gr.edges])
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = [_scan(recurrences[e], np.zeros(gr.dims[e]))[-1]
+             for e in gr.edges]
+    _require_finite(problem, gr.edges, lambda e: "the forced terminal value",
+                    F)
+    return np.concatenate(F)
 
 
 def solve_boundary(problem, mono, F):

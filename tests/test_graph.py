@@ -126,50 +126,6 @@ def test_rejects_out_of_range_indices():
         classify_solvability(BlockPattern(2, frozenset({(2, 0)})))
 
 
-def shortest_cycle_oracle(component, adj):
-    """The unpruned search: BFS from every member over the whole component,
-    keeping the first strictly shorter cycle."""
-    members = set(component)
-    best = None
-    for s in sorted(component):
-        parent = {s: None}
-        frontier = [s]
-        found = None
-        while frontier and found is None:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in members:
-                        continue
-                    if w == s:
-                        found = v
-                        break
-                    if w not in parent:
-                        parent[w] = v
-                        nxt.append(w)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is None:
-            continue
-        path = [found]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        if best is None or len(path) < len(best):
-            best = path
-    return tuple(best) if best is not None else None
-
-
-def _cyclic_components(pattern):
-    adj = [[] for _ in range(pattern.n)]
-    for i, j in sorted(pattern.nonzero):
-        if i != j:
-            adj[i].append(j)
-    comps = graph._strongly_connected_components(pattern.n, adj)
-    return adj, [c for c in comps if len(c) >= 2]
-
-
 @st.composite
 def cyclic_patterns(draw):
     n = draw(st.integers(2, 14))
@@ -184,23 +140,33 @@ def cyclic_patterns(draw):
 
 
 @given(cyclic_patterns())
-def test_shortest_cycle_matches_unpruned_search(pattern):
-    adj, components = _cyclic_components(pattern)
-    assert components
-    for comp in components:
-        assert graph._shortest_cycle(comp, adj) == \
-            shortest_cycle_oracle(comp, adj)
+def test_witness_is_a_simple_loop_the_ordering_cannot_place(pattern):
+    rep = classify_solvability(pattern)
+    assert rep.category == graph.GLOBAL_ONLY
+    cyc = rep.blocking_cycle
+    assert len(set(cyc)) == len(cyc) >= 2
+    assert cyc[0] == min(cyc)
+    for k in range(len(cyc)):
+        assert (cyc[k], cyc[(k + 1) % len(cyc)]) in pattern.nonzero
+    assert not set(cyc) & set(graph._topological_ordering(pattern))
 
 
-def test_shortest_cycle_on_a_600_ring_with_chords():
+def test_witness_blocks_the_smallest_waiting_edge():
+    # loops {1, 2} and {3, 4}; edge 0 waits on the second one
+    nz = {(1, 2), (2, 1), (3, 4), (4, 3), (0, 3)}
+    rep = classify_solvability(BlockPattern(5, frozenset(nz)))
+    assert rep.blocking_cycle == (3, 4)
+
+
+def test_witness_on_a_600_ring():
     n = 600
     nz = {(k, (k - 1) % n) for k in range(n)}
-    plain = BlockPattern(n, frozenset(nz))
-    chorded = BlockPattern(n, frozenset(nz | {(5, 300), (400, 450)}))
-    for pattern in (plain, chorded):
-        adj, components = _cyclic_components(pattern)
-        (comp,) = components
-        assert graph._shortest_cycle(comp, adj) == \
-            shortest_cycle_oracle(comp, adj)
-    rep = classify_solvability(plain)
+    rep = classify_solvability(BlockPattern(n, frozenset(nz)))
     assert rep.blocking_cycle == (0,) + tuple(range(n - 1, 0, -1))
+
+
+def test_witness_on_a_2000_ring_fed_from_the_next_edge():
+    n = 2000
+    nz = {(k, (k + 1) % n) for k in range(n)}
+    rep = classify_solvability(BlockPattern(n, frozenset(nz)))
+    assert rep.blocking_cycle == tuple(range(n))

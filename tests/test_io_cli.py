@@ -378,6 +378,34 @@ def test_cli_overflowing_coupling_exits_one_naming_the_block(tmp_path,
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("steps, what", [
+    (4, "the forcing increment for h = 2.5"),  # b overflows
+    (100, "the forced terminal value")])  # b is finite, the scan's sum is not
+def test_cli_overflowing_forcing_exits_one_naming_the_edge(tmp_path, capsys,
+                                                           steps, what):
+    doc = {"edges": [{"id": 0, "length": 10, "dim": 1, "A": [[0]],
+                      "g": [1.0], "steps": steps,
+                      "f": {"kind": "constant", "value": [1e308]}}],
+           "blocks": [{"from": 0, "to": 0, "matrix": [[0.5]]}]}
+    path = make_problem_file(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: edge 0 (length 10.0): {what} is not finite\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_cli_zero_forcing_with_a_value_exits_one(tmp_path, capsys):
+    doc = {"edges": [{"id": 0, "length": 1, "dim": 1, "A": [[0]],
+                      "f": {"kind": "zero", "value": [1.0]}}]}
+    path = make_problem_file(tmp_path, doc)
+    assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: edges/0/f/value: a zero forcing takes no value\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_report_carries_one_monodromy_rcond(tmp_path):
     for sid in scenarios.SCENARIO_IDS:
         out = tmp_path / sid
@@ -432,6 +460,18 @@ def test_cli_scenario_rejects_a_size_below_one(tmp_path, capsys, override):
                      "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == \
         f"error: override {key!r} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("preset_id, override, message", [
+    ("periodic", "steps=1e3", "override 'steps': '1e3' is not an integer"),
+    ("phase_shift", "alpha=two", "override 'alpha': 'two' is not a number")])
+def test_cli_scenario_rejects_an_override_it_cannot_cast(tmp_path, capsys,
+                                                         preset_id, override,
+                                                         message):
+    assert cli.main(["scenario", preset_id, "--set", override,
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "problem.json").exists()
 
 
 def test_cli_scenario_accepts_the_overrides_each_preset_reads(tmp_path):

@@ -3,9 +3,9 @@
 The shipped schema covers the document skeleton only; the loader checks the
 numeric arrays itself. The differential tests hold it to the full per-entry
 schema the project shipped before (problem.full.schema.json, kept here as
-the oracle) plus the shape rules the loader always applied, and to three
+the oracle) plus the shape rules the loader always applied, and to four
 rules the full schema could not state: no ragged arrays, no non-finite
-numbers, no duplicate blocks.
+numbers, no duplicate blocks, no value on a zero forcing.
 """
 
 import contextlib
@@ -73,7 +73,7 @@ def _leaves(value):
 
 
 def expected_rejection(doc):
-    """Verdict of the full schema, the shape rules and the three new rules."""
+    """Verdict of the full schema, the shape rules and the four new rules."""
     if not ORACLE.is_valid(doc):
         return True
     dims = {e["id"]: e["dim"] for e in doc["edges"]}
@@ -86,8 +86,12 @@ def expected_rejection(doc):
         if "g" in e:
             checks.append((e["g"], {(d,)}))
         f = e.get("f", {"kind": "zero"})
+        if f["kind"] == "zero":
+            if "value" in f:
+                return True
+            continue
         n = e.get("steps", 100) + 1
-        allowed = {"zero": None, "constant": {(d,)},
+        allowed = {"constant": {(d,)},
                    "samples": {(n, d)} | ({(n,)} if d == 1 else set())}
         checks.append((f.get("value", []), allowed[f["kind"]]))
     seen = set()
@@ -146,13 +150,18 @@ ROW_MUTATIONS = {
 def mutated(draw):
     sid = draw(st.sampled_from(sorted(BASE)))
     doc = json.loads(BASE[sid])
-    site = draw(st.sampled_from(["entry", "row", "length", "duplicate"]))
+    site = draw(st.sampled_from(["entry", "row", "length", "duplicate",
+                                 "zero"]))
     if site == "duplicate" and doc.get("blocks"):
         doc["blocks"].append(dict(draw(st.sampled_from(doc["blocks"]))))
     elif site == "length":
         edge = draw(st.sampled_from(doc["edges"]))
         how = draw(st.sampled_from(sorted(ENTRY_MUTATIONS)))
         edge["length"] = ENTRY_MUTATIONS[how](edge["length"])
+    elif site == "zero":
+        edge = draw(st.sampled_from(doc["edges"]))
+        edge["f"] = {"kind": "zero",
+                     "value": edge.get("f", {}).get("value", [])}
     else:
         owner, key = draw(st.sampled_from(_arrays(doc)))
         _mutate_array(draw, owner[key], site)
@@ -233,6 +242,13 @@ def test_ragged_matrix_is_rejected_with_its_path():
     doc["edges"][0]["A"] = [[1.0], [2.0, 3.0]]
     assert _messages(doc) == [
         "edges/0/A/1: ragged rows, length 2 != 1 at edges/0/A/0"]
+
+
+def test_zero_forcing_with_a_value_is_rejected_with_its_path():
+    doc = _two_edge_doc()
+    doc["edges"][0]["f"]["kind"] = "zero"
+    assert _messages(doc) == [
+        "edges/0/f/value: a zero forcing takes no value"]
 
 
 def test_mixed_depth_forcing_is_rejected_with_its_path():
