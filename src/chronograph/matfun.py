@@ -1,4 +1,5 @@
-"""Dense matrix kernels: exponential, phi-functions, solves, Hermitian calculus.
+"""Matrix kernels: exponential, phi-functions, solves, Hermitian calculus,
+and the sparse largest singular value used for large block operators.
 
 Everything downstream (monodromy assembly, exponential integrators, unitarity
 and factorization checks) is built on these few functions.  All routines work
@@ -12,6 +13,12 @@ import scipy.linalg as la
 SINGULARITY_RCOND = 1e-14
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-10
+# Block operators with at least this many rows or columns are held sparse:
+# the boundary system is factored by SuperLU and 2-norms come from Lanczos.
+# Below it one dense SVD is cheaper; the two cross over near 256 unknowns.
+# scipy.sparse is imported only where it is used, because importing it costs
+# every start-up about 30 ms and 4 MB, and small problems never need it.
+DENSE_BOUNDARY_MAX = 256
 
 
 class SingularMatrix(Exception):
@@ -102,6 +109,37 @@ def solve_linear(M, rhs):
         raise SingularMatrix(rc)
     X = la.solve(M, rhs)
     return X, rc
+
+
+def sparse_blocks(shape, parts):
+    """CSC matrix of the given shape holding the nonzero entries of each
+    part (row offset, column offset, dense block); explicit zeros are not
+    stored."""
+    import scipy.sparse as sp  # large operators only; see DENSE_BOUNDARY_MAX
+    rows, cols, vals = [], [], []
+    for r, c, m in parts:
+        k, j = np.nonzero(m)
+        rows.append(r + k)
+        cols.append(c + j)
+        vals.append(m[k, j])
+    return sp.csc_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=shape, dtype=complex)
+
+
+def lanczos_sigma_max(A):
+    """Largest singular value of a sparse matrix or LinearOperator A, with
+    min(A.shape) >= 2, by ARPACK's Lanczos iteration on its Gram operator
+    (scipy's svds).  The start vector is fixed, so repeated runs agree bit
+    for bit.  An iteration that does not converge returns NaN rather than
+    an unconverged estimate."""
+    import scipy.sparse.linalg as spla  # see DENSE_BOUNDARY_MAX
+    v0 = np.random.default_rng(0).standard_normal(min(A.shape))
+    try:
+        s = spla.svds(A, k=1, v0=v0, return_singular_vectors=False)
+    except spla.ArpackNoConvergence:
+        return float("nan")
+    return float(s[0])
 
 
 class HermitianEigenSystem:

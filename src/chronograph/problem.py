@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import matfun
 from .graph import TimeGraph
 
 
@@ -69,7 +70,10 @@ def block_norm(graph, blocks):
     Blocks that share a row or a column edge are joined into connected
     components.  Up to row and column permutations the matrix is the direct
     sum of the components' submatrices, so its norm is the largest of
-    theirs; no n x n matrix is formed.
+    theirs; no n x n matrix is formed.  A component with at least
+    matfun.DENSE_BOUNDARY_MAX rows or columns (and at least two of each,
+    as ARPACK needs) is held sparse and normed by Lanczos; the others take
+    one stacked dense SVD per shape.
     """
     parent = {}
 
@@ -87,16 +91,24 @@ def block_norm(graph, blocks):
         components.setdefault(root(("row", i)), []).append((i, j))
     pos = {e: k for k, e in enumerate(graph.edges)}
     by_shape = {}
+    norms = []
     for keys in components.values():
         r_off, rows = _local_offsets(graph, {i for i, _ in keys}, pos)
         c_off, cols = _local_offsets(graph, {j for _, j in keys}, pos)
+        if (max(rows, cols) >= matfun.DENSE_BOUNDARY_MAX
+                and min(rows, cols) > 1):
+            norms.append(matfun.lanczos_sigma_max(matfun.sparse_blocks(
+                (rows, cols), [(r_off[i], c_off[j], blocks[(i, j)])
+                               for i, j in keys])))
+            continue
         sub = np.zeros((rows, cols), dtype=complex)
         for i, j in keys:
             sub[r_off[i]:r_off[i] + graph.dims[i],
                 c_off[j]:c_off[j] + graph.dims[j]] = blocks[(i, j)]
         by_shape.setdefault(sub.shape, []).append(sub)
-    return max((float(np.max(np.linalg.norm(np.stack(subs), 2, axis=(1, 2))))
-                for subs in by_shape.values()), default=0.0)
+    norms.extend(float(np.max(np.linalg.norm(np.stack(subs), 2, axis=(1, 2))))
+                 for subs in by_shape.values())
+    return float(np.max(norms, initial=0.0))  # a NaN norm propagates
 
 
 @dataclass(frozen=True)

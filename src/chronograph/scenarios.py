@@ -6,6 +6,8 @@ Unless a construction dictates otherwise, scalar presets use A = [-1], unit
 edge length, constant forcing 1 and 100 substeps.
 """
 
+import math
+
 import numpy as np
 
 SCENARIO_IDS = (
@@ -47,9 +49,9 @@ def build_scenario(scenario_id, overrides=None):
     """Materialize one preset as a problem-file document.
 
     Recognized overrides: alpha (phase_shift weight), dim (frequency_shift
-    mode count), steps (substeps applied to every edge); dim and steps are
-    at least 1.  An override the chosen preset does not read is rejected,
-    not ignored.
+    mode count), steps (substeps applied to every edge); alpha is finite,
+    dim and steps are at least 1.  An override the chosen preset does not
+    read is rejected, not ignored.
     """
     if scenario_id not in SCENARIO_IDS:
         raise KeyError(f"unknown scenario {scenario_id!r}")
@@ -63,6 +65,9 @@ def build_scenario(scenario_id, overrides=None):
     steps = overrides.pop("steps", None)
     if overrides:
         raise ValueError(f"unknown overrides: {sorted(overrides)}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"override 'alpha' must be a finite number, "
+                         f"got {alpha}")
     for key, value in (("dim", dim), ("steps", steps)):
         if value is not None and int(value) < 1:
             raise ValueError(f"override {key!r} must be >= 1, got {value}")

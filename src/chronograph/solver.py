@@ -1,11 +1,19 @@
 """Closed-form solver for Cauchy problems on time graphs.
 
-The coupled system is reduced to one dense boundary solve: with E the
+The coupled system is reduced to one boundary solve: with E the
 block-diagonal end-of-edge propagator and F the forced terminal integrals,
 the initial values c satisfy (I - B E) c = g + B F.  Each edge is then
 integrated independently by an exponential-trapezoidal recurrence that is
 exact for the piecewise-linear forcing class, so the only nontrivial numerics
 are the matrix exponentials and the single linear solve.
+
+M = I - B E has the block pattern of I + B.  With fewer than
+DENSE_BOUNDARY_MAX unknowns it is a dense array, conditioned by one SVD and
+solved by LU.  At or above that size it is a CSC matrix of its nonzero
+entries, factored once by SuperLU (X. S. Li, ACM TOMS 31(3), 2005), and its
+extreme singular values come from ARPACK's Lanczos iteration on M and on
+the factor's inverse (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998),
+so no n x n array is formed.
 
 On an edge with K steps of size h the recurrence is affine,
 x[k+1] = e^{hA} x[k] + b[k], with increments
@@ -25,6 +33,7 @@ import numpy as np
 import scipy.linalg as la
 
 from . import matfun
+from .matfun import DENSE_BOUNDARY_MAX
 from .problem import (EdgeOperator, SampledForcing, TimeGraphProblem,
                       ZeroForcing, block_norm, forcing_node_values,
                       stack_edge_values, validate)
@@ -53,17 +62,28 @@ class NotWellPosed(Exception):
 @dataclass(frozen=True)
 class Monodromy:
     """M = I - B E with E = blockdiag(e^{a_j A_j}), M's extreme singular
-    values, and the propagators E_j."""
+    values, and the propagators E_j.
 
-    M: np.ndarray
+    Below DENSE_BOUNDARY_MAX unknowns M is a dense array and lu is None; at
+    or above it M is a scipy CSC matrix and lu its SuperLU factor (None
+    only when SuperLU met an exactly zero pivot, and then sigma_min is 0).
+    """
+
+    M: object
     sigma_min: float
     sigma_max: float
     propagators: dict  # edge id -> e^{a_j A_j}
+    lu: object = None
 
     @property
     def rcond(self):
         """sigma_min / max(1, sigma_max), as matfun.rcond_identity_scale."""
         return self.sigma_min / max(self.sigma_max, 1.0)
+
+    def dense(self):
+        """M as a dense array, for the O(n^3) cross-checks (picard_boundary,
+        verify_mapping_properties); a solve never calls it."""
+        return self.M if isinstance(self.M, np.ndarray) else self.M.toarray()
 
 
 @dataclass(frozen=True)
@@ -141,8 +161,9 @@ def assemble_monodromy(problem):
     M starts as the identity, and each nonzero block B_ij subtracts
     B_ij e^{a_j A_j} from its (i, j) slot, so E and B E are never formed as
     n x n matrices.  The propagators of all edges of one dimension come from
-    one stacked exponential and are kept on the result; the SVD of M here
-    is the only n x n decomposition of a solve.
+    one stacked exponential and are kept on the result.  Below
+    DENSE_BOUNDARY_MAX unknowns M is dense and its SVD is the only n x n
+    decomposition of a solve; at or above it M is sparse (_sparse_monodromy).
     """
     _require_valid(problem)
     gr = problem.graph
@@ -155,7 +176,7 @@ def assemble_monodromy(problem):
         _require_finite(problem, edges, lambda e: "the propagator "
                         "e^(length A)", blocks)
         propagators.update(zip(edges, blocks))
-    M = np.eye(gr.size(), dtype=complex)
+    parts = []  # (row offset, column offset, B_ij e^{a_j A_j})
     for (i, j), m in problem.B.blocks.items():
         with np.errstate(over="ignore", invalid="ignore"):
             BE = m @ propagators[j]
@@ -163,9 +184,44 @@ def assemble_monodromy(problem):
             raise ValueError(f"block ({j!r} -> {i!r}): B E is not finite; "
                              f"the block times the propagator of edge "
                              f"{j!r} overflows")
-        M[off[i]:off[i] + gr.dims[i], off[j]:off[j] + gr.dims[j]] -= BE
+        parts.append((off[i], off[j], BE))
+    n = gr.size()
+    if n >= DENSE_BOUNDARY_MAX:
+        return _sparse_monodromy(n, parts, propagators)
+    M = np.eye(n, dtype=complex)
+    for r, c, BE in parts:
+        M[r:r + BE.shape[0], c:c + BE.shape[1]] -= BE
     sv = np.linalg.svd(M, compute_uv=False)
     return Monodromy(M, float(sv[-1]), float(sv[0]), propagators)
+
+
+def _sparse_monodromy(n, parts, propagators):
+    """M = I - B E as a CSC matrix of its nonzero entries, factored once by
+    SuperLU.  sigma_max(M) is Lanczos on M, and sigma_min(M) is
+    1 / sigma_max(M^-1), Lanczos on the factor's solves (trans="H" for the
+    adjoint).  An exactly zero pivot gives sigma_min = 0, and an inverse
+    whose Lanczos iteration overflows gives sigma_min = 0 or NaN; the
+    boundary solve refuses all three."""
+    # imported here, not at module top: see matfun.DENSE_BOUNDARY_MAX
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    M = sp.identity(n, dtype=complex, format="csc") \
+        - matfun.sparse_blocks((n, n), parts)
+    sigma_max = matfun.lanczos_sigma_max(M)
+    try:
+        lu = spla.splu(M)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return Monodromy(M, 0.0, sigma_max, propagators)
+
+    def adjoint_solve(x):
+        return lu.solve(x, trans="H")
+
+    inverse = spla.LinearOperator((n, n), matvec=lu.solve, matmat=lu.solve,
+                                  rmatvec=adjoint_solve,
+                                  rmatmat=adjoint_solve, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse_norm = matfun.lanczos_sigma_max(inverse)
+    return Monodromy(M, 1.0 / inverse_norm, sigma_max, propagators, lu)
 
 
 @dataclass(frozen=True)
@@ -243,18 +299,49 @@ def forced_terminal_integrals(problem, recurrences):
     return np.concatenate(F)
 
 
+def _require_finite_boundary(problem, x, what):
+    """Reject a non-finite stacked boundary-space vector, naming the first
+    edge whose slice of it is not finite."""
+    if not np.isfinite(x).all():
+        gr = problem.graph
+        off = gr.offsets()
+        _require_finite(problem, gr.edges, lambda e: what,
+                        [x[off[e]:off[e] + gr.dims[e]] for e in gr.edges])
+
+
 def solve_boundary(problem, mono, F):
-    """Initial values on every edge: c = (I - B E)^{-1} (g + B F).
+    """Initial values on every edge: c = (I - B E)^{-1} (g + B F), by the
+    dense LU or the sparse factor that assemble_monodromy chose.
 
     mono.rcond, sigma_min / max(1, sigma_max) of I - B E, is the only
     conditioning gate; it bounds sigma_min / sigma_max from above, so no
-    second estimate could refuse a system this one accepts.
+    second estimate could refuse a system this one accepts.  A NaN rcond
+    (a Lanczos iteration that failed) is refused too.  An overflowing
+    right-hand side or solution names its first edge.
     """
-    g = stack_edge_values(problem.graph, problem.g)
-    rhs = g + problem.B.apply(problem.graph, F)
-    if mono.rcond < SINGULAR_RCOND:
+    gr = problem.graph
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = stack_edge_values(gr, problem.g) + problem.B.apply(gr, F)
+    _require_finite_boundary(problem, rhs,
+                             "the boundary right-hand side g + B F")
+    if not mono.rcond >= SINGULAR_RCOND:
         raise NotWellPosed(mono.rcond)
-    return la.solve(mono.M, rhs)
+
+    def solve(b):
+        return la.solve(mono.M, b) if mono.lu is None else mono.lu.solve(b)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = solve(rhs)
+        if not np.isfinite(c).all():
+            # 0 * inf in the triangular solves spreads an overflow to
+            # unrelated entries.  Solving for rhs / s, with s a power of two
+            # near max |rhs| (exact scaling, s finite), and scaling back
+            # leaves only the entries that overflow.
+            s = 2.0 ** (np.frexp(np.max(np.abs(rhs)))[1] - 1)
+            c = solve(rhs / s) * s
+    _require_finite_boundary(problem, c,
+                             "the initial value c of the boundary solve")
+    return c
 
 
 def _composite_simpson(values, h):

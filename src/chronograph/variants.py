@@ -210,13 +210,13 @@ def verify_mapping_properties(report, problem, strict=False):
 
     report is solver.solve(problem)'s: its monodromy M = I - B E, its step
     operators and its node forcing are read, not rebuilt, and M is inverted
-    once, for both the positivity check and the sup bound.  B's sign checks
-    and ||B||_inf are read from its blocks.  Each defect is only populated
-    when its hypotheses hold on the operators; data-side violations
-    (negative f or g entries) are recorded in failed_hypotheses but the
-    defects are still computed, so the caller can inspect without
-    asserting.  strict=True raises HypothesesNotMet as soon as anything
-    failed.
+    once, densely (O(n^3)), for both the positivity check and the sup
+    bound.  B's sign checks and ||B||_inf are read from its blocks.  Each
+    defect is only populated when its hypotheses hold on the operators;
+    data-side violations (negative f or g entries) are recorded in
+    failed_hypotheses but the defects are still computed, so the caller
+    can inspect without asserting.  strict=True raises HypothesesNotMet as
+    soon as anything failed.
     """
     gr = problem.graph
     failed = []
@@ -237,7 +237,7 @@ def verify_mapping_properties(report, problem, strict=False):
     if not all(_metzler(problem.operator(e)) for e in gr.edges):
         failed.append("A_metzler")
         operators_ok = False
-    Minv = np.linalg.inv(report.monodromy.M)
+    Minv = np.linalg.inv(report.monodromy.dense())
     if operators_ok and np.min(Minv.real) < -_ENTRYWISE_TOL:
         failed.append("inverse_entrywise_nonnegative")
         operators_ok = False

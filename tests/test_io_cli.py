@@ -396,6 +396,40 @@ def test_cli_overflowing_forcing_exits_one_naming_the_edge(tmp_path, capsys,
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def overflowing_boundary_doc(n, k, rhs):
+    """n scalar edges chained by weight 0.5; edge k has A = [[0]],
+    g = [1e308] and a self-block.  Without rhs the block is 0.5, so
+    c_k = 2e308; with rhs edge k is forced by 1e308 and the block is 1.5,
+    so g + B F reaches 2.5e308 on edge k."""
+    edges = [{"id": e, "length": 1, "dim": 1, "A": [[-1]], "steps": 4}
+             for e in range(n)]
+    blocks = [{"from": e - 1, "to": e, "matrix": [[0.5]]}
+              for e in range(1, n)]
+    edges[k].update({"A": [[0]], "g": [1e308]})
+    if rhs:
+        edges[k]["f"] = {"kind": "constant", "value": [1e308]}
+    blocks.append({"from": k, "to": k, "matrix": [[1.5 if rhs else 0.5]]})
+    return {"edges": edges, "blocks": blocks}
+
+
+@pytest.mark.parametrize(
+    "n, k", [(1, 0), (10, 5), (solver.DENSE_BOUNDARY_MAX - 1, 5),
+             (solver.DENSE_BOUNDARY_MAX, 5)],
+    ids=["one-edge", "chain", "dense-side", "sparse-side"])
+@pytest.mark.parametrize("rhs, what", [
+    (False, "the initial value c of the boundary solve"),
+    (True, "the boundary right-hand side g + B F")], ids=["c", "rhs"])
+def test_cli_overflowing_boundary_solve_exits_one_naming_the_edge(
+        tmp_path, capsys, n, k, rhs, what):
+    path = make_problem_file(tmp_path, overflowing_boundary_doc(n, k, rhs))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: edge {k} (length 1.0): {what} is not finite\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_cli_zero_forcing_with_a_value_exits_one(tmp_path, capsys):
     doc = {"edges": [{"id": 0, "length": 1, "dim": 1, "A": [[0]],
                       "f": {"kind": "zero", "value": [1.0]}}]}
@@ -471,6 +505,15 @@ def test_cli_scenario_rejects_an_override_it_cannot_cast(tmp_path, capsys,
     assert cli.main(["scenario", preset_id, "--set", override,
                      "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "problem.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_scenario_rejects_a_non_finite_alpha(tmp_path, capsys, value):
+    assert cli.main(["scenario", "phase_shift", "--set", f"alpha={value}",
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: override 'alpha' must be a finite number, got {value}\n"
     assert not (tmp_path / "problem.json").exists()
 
 

@@ -2,6 +2,10 @@ import collections
 import dataclasses
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -358,14 +362,20 @@ def schrodinger_graph_doc(n, dims):
     return doc
 
 
+N = solver.DENSE_BOUNDARY_MAX
+
+
 @pytest.mark.parametrize(
-    "ring, dims, mode",
-    [(False, (1,), "parabolic"), (True, (1,), "parabolic"),
-     (True, (1, 2), "parabolic"), (False, (1, 2), "schrodinger")],
-    ids=["False-dims0", "True-dims1", "True-dims2", "schrodinger"])
+    "n, ring, dims, mode",
+    [(100, False, (1,), "parabolic"), (100, True, (1,), "parabolic"),
+     (100, True, (1, 2), "parabolic"), (100, False, (1, 2), "schrodinger"),
+     (N - 1, False, (1,), "parabolic"), (N, False, (1,), "parabolic")],
+    ids=["False-dims0", "True-dims1", "True-dims2", "schrodinger",
+         "dense-side", "sparse-side"])
 def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
-                                                     ring, dims, mode):
-    n = 100
+                                                     n, ring, dims, mode):
+    """Below DENSE_BOUNDARY_MAX unknowns a solve takes one n x n SVD and
+    one dense solve of M; at or above it, none."""
     path = tmp_path / "problem.json"
     doc = (schrodinger_graph_doc(n, dims) if mode == "schrodinger"
            else scalar_graph_doc(n, ring, dims))
@@ -455,11 +465,12 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
         [("assemble_monodromy", d) for d in groups]
         + [("edge_recurrences", 3 * d) for d in groups])
     assert expm_calls == solve_expms
-    assert square_svds() == [(size, size)]
+    dense_side = size < N
+    assert square_svds() == [(size, size)] * dense_side
+    assert inverted == [("solve", (size, size))] * dense_side
     if mode == "schrodinger":
         # the unitarity check reads the solve's propagators and singular
         # values: no second SVD or inverse of M, one eigensystem per edge
-        assert inverted == [("solve", (size, size))]
         assert len(eig_calls) == n
         unitarity = json.loads((tmp_path / "report.json").read_text())[
             "unitarity"]
@@ -467,7 +478,8 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
         return
 
     # compare: the fixed-point iteration reuses the solve's system, so the
-    # solve's SVD and the two reference solves' are the only n x n ones;
+    # solve's SVD (dense side) and the two reference solves' are the only
+    # n x n ones;
     # the reference returns trajectories, so each diagnostic runs once, in
     # the solve, and never inside cn_solve
     expm_calls.clear()
@@ -478,7 +490,7 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     assert json.loads((tmp_path / "compare.json").read_text())["picard"] \
         == {"converged": True}
     assert expm_calls == solve_expms
-    assert square_svds() == [(size, size)] * 3
+    assert square_svds() == [(size, size)] * (2 + dense_side)
     assert diagnostic_stages == {name: [None] for name in diagnostics}
 
     # mapping properties read the report's operators and invert M once
@@ -496,10 +508,10 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
 
 
 def test_dense_memory_stays_within_budget():
-    """M is the only n x n array a solve or the Crank-Nicolson reference
-    holds, so each peaks within M plus one workspace, in units of one
-    complex n x n array (16 n^2 bytes); a dense B or E~ beside M exceeds
-    the budget."""
+    """In units of one complex n x n array (16 n^2 bytes): at n = 400 the
+    solve holds M sparse and allocates no n x n array, so it peaks well
+    below one unit; the Crank-Nicolson reference holds its dense I - B E~
+    and one workspace, and a dense B or E~ beside it exceeds the budget."""
     n = 400
     problem, _, _ = problem_io.load_problem_dict(scalar_graph_doc(n, True))
     unit = 16 * n * n
@@ -513,5 +525,152 @@ def test_dense_memory_stays_within_budget():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: solver.solve(problem)) <= 1.75
+    assert peak(lambda: solver.solve(problem)) <= 0.75
     assert peak(lambda: oracle.cn_solve(problem, 8)) <= 2.0
+
+
+def boundary_problem(size, ring, extra, delta, seed):
+    """A chain of edges of dims 1-3 with size unknowns in all, closed into
+    a ring when ring is set, with extra random blocks.  With delta set, the
+    ring is near-singular instead: A_j = -alpha_j I and blocks whose
+    first components go round the loop with gain 1 - delta, so that
+    sigma_min(M) is about delta / edges."""
+    rng = np.random.default_rng(seed)
+    dims = []
+    while sum(dims) < size:
+        dims.append(int(rng.integers(1, 4)))
+    dims[-1] -= sum(dims) - size
+    edges = tuple(range(len(dims)))
+    d = dict(zip(edges, dims))
+    lengths = {e: float(rng.uniform(0.5, 1.5)) for e in edges}
+    near = delta is not None
+    ops = {e: (-rng.uniform(0.0, 0.5) * np.eye(d[e]) if near
+               else rng.standard_normal((d[e], d[e])) - 2.0 * np.eye(d[e]))
+           for e in edges}
+    pairs = [(k, k - 1) for k in edges[1:]] + ([(0, edges[-1])] if ring
+                                               else [])
+    if near:
+        gain = (1.0 - delta) ** (1.0 / len(edges))
+        blocks = {(i, j): gain * np.exp(-ops[j][0, 0] * lengths[j])
+                  * np.eye(d[i], d[j]) for i, j in pairs}
+    else:
+        blocks = {(i, j): rng.uniform(0.2, 1.0, (d[i], d[j])) / d[j]
+                  for i, j in pairs}
+        for _ in range(extra):
+            i, j = (int(x) for x in rng.integers(0, len(edges), 2))
+            blocks[i, j] = 0.3 * rng.standard_normal((d[i], d[j])) / d[j]
+    forcing = Forcing({e: ConstantForcing(rng.standard_normal(d[e]))
+                       for e in edges if rng.random() < 0.5})
+    return TimeGraphProblem(
+        TimeGraph(edges, lengths, d),
+        tuple(EdgeOperator(e, ops[e]) for e in edges),
+        TransmissionOperator(blocks), {0: rng.standard_normal(d[0])},
+        forcing, {e: 4 for e in edges})
+
+
+def _gate(rcond):
+    """0 refused, 1 ill-conditioned, 2 well-conditioned."""
+    return int(rcond >= solver.SINGULAR_RCOND) \
+        + int(rcond >= solver.ILL_CONDITIONED_RCOND)
+
+
+@given(st.integers(0, 64), st.booleans(), st.integers(0, 8),
+       st.one_of(st.none(), st.floats(-16.0, -2.0)), st.integers(0, 10 ** 6))
+def test_sparse_boundary_system_matches_the_dense_oracle(offset, ring, extra,
+                                                         log_delta, seed):
+    """At n >= DENSE_BOUNDARY_MAX, SuperLU and Lanczos against a dense
+    I - B E, its SVD and la.solve.  Each side's sigma_min carries a backward
+    error of a few eps ||M|| (Weyl), so rcond agrees within 1e-12 relative
+    plus 16 eps, and c within 1e-13 relative plus the forward-error term
+    eps / rcond; the gate decisions agree outside a factor-2 band around
+    each gate."""
+    delta = None if log_delta is None or not ring else 10.0 ** log_delta
+    p = boundary_problem(N + offset, ring, extra, delta, seed)
+    mono = solver.assemble_monodromy(p)
+    dense = dense_monodromy(p)
+    sv = np.linalg.svd(dense, compute_uv=False)
+    want = sv[-1] / max(sv[0], 1.0)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(mono.dense() - dense)) \
+        <= 1e-12 * np.max(np.abs(dense))
+    assert abs(mono.rcond - want) <= 1e-12 * want + 16 * eps, \
+        (mono.rcond, want)
+    if not any(gate / 2 <= want <= 2 * gate for gate in
+               (solver.SINGULAR_RCOND, solver.ILL_CONDITIONED_RCOND)):
+        assert _gate(mono.rcond) == _gate(want)
+    F = solver.forced_terminal_integrals(p, solver.edge_recurrences(p))
+    if _gate(mono.rcond) == 0:
+        with pytest.raises(solver.NotWellPosed):
+            solver.solve_boundary(p, mono, F)
+        return
+    c = solver.solve_boundary(p, mono, F)
+    c_dense = scipy.linalg.solve(dense, stack_edge_values(p.graph, p.g)
+                                 + dense_B(p.graph, p.B) @ F)
+    scale = np.max(np.abs(c_dense))
+    assert np.max(np.abs(c - c_dense)) <= (1e-13 + eps / want) * scale
+
+
+def ring_doc(n, weight, closed=True):
+    """n neutral scalar edges (A = 0, length 1) in a chain, closed into a
+    ring when closed is set, every block the same weight."""
+    edges = [{"id": e, "length": 1.0, "dim": 1, "A": [[0.0]], "steps": 4}
+             for e in range(n)]
+    edges[0]["g"] = [1.0]
+    pairs = [(e - 1, e) for e in range(1, n)] + ([(n - 1, 0)] if closed
+                                                 else [])
+    return {"edges": edges, "blocks": [
+        {"from": j, "to": i, "matrix": [[weight]]} for j, i in pairs]}
+
+
+@pytest.mark.parametrize("doc, rcond", [
+    (ring_doc(N - 1, 1.0), r"\d\.\d{3}e-(1[5-9]|[2-9]\d)"),
+    (ring_doc(N, 1.0), r"0\.000e\+00"),
+    (ring_doc(N, 1e10, closed=False), r"0\.000e\+00")],
+    ids=["dense-singular", "sparse-zero-pivot", "sparse-inverse-overflows"])
+def test_cli_singular_boundary_system_exits_two_on_both_sides(
+        tmp_path, capsys, doc, rcond):
+    """I - P for the cyclic shift P is exactly singular: the dense SVD
+    finds rcond at roundoff level (below 1e-14), and SuperLU meets a zero
+    pivot, which counts as rcond 0.  On the chain with weight 1e10 the
+    factor is fine but M^-1 overflows, so its Lanczos norm is not
+    finite."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    assert re.fullmatch(r"error: boundary system numerically singular, "
+                        rf"rcond = {rcond}\n", capsys.readouterr().err)
+    assert caught == []
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_lanczos_that_does_not_converge_exits_two(tmp_path, capsys,
+                                                  monkeypatch):
+    """ARPACK's no-convergence error gives a NaN singular value, which the
+    boundary gate refuses like a singular system."""
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(spla, "svds", no_convergence)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(scalar_graph_doc(N, True)))
+    assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: boundary system numerically singular, rcond = nan\n"
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    """scipy.sparse is imported by the first solve with a large boundary
+    system, never by importing the package: it would cost every cold
+    start about 30 ms."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, chronograph; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

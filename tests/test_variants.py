@@ -241,6 +241,41 @@ def test_unitarity_check_matches_the_dense_reference(d, n, kind, seed):
         assert got.unitary == want.unitary
 
 
+def test_unitarity_defect_of_a_300_edge_chain_is_normed_by_lanczos(
+        monkeypatch):
+    """On a Schrodinger chain B^2 - 2 B cos(aH) has blocks (k, k-1) and
+    (k, k-2), which join 299 rows and columns into one component: it is
+    normed by Lanczos, within 1e-12 relative of the dense 2-norm.  Equal
+    lengths and H make every E_j the same phase, so B commutes with E."""
+    n = 300
+    rng = np.random.default_rng(300)
+    edges = tuple(range(n))
+    gr = TimeGraph(edges, {e: 1.0 for e in edges}, {e: 1 for e in edges})
+    base = TimeGraphProblem(
+        gr, tuple(EdgeOperator(e, [[-0.7]]) for e in edges),
+        TransmissionOperator({(k, k - 1): [[rng.uniform(0.5, 1.0)]]
+                              for k in edges[1:]}),
+        {0: np.ones(1)})
+    effective = variants.schrodinger_effective(
+        variants.SchrodingerProblem(base))
+    report = solver.solve(effective)
+    shapes = []
+
+    def recorded(A, _lanczos=matfun.lanczos_sigma_max):
+        shapes.append(A.shape)
+        return _lanczos(A)
+
+    monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded)
+    got = variants.unitarity_check(report, effective)
+    assert shapes == [(n - 1, n - 1)]
+    E = report.monodromy.propagators
+    B = dense_B(gr, effective.B)
+    two_cos = np.diag([complex(E[e][0, 0] + np.conj(E[e][0, 0]))
+                       for e in edges])
+    want = float(np.linalg.norm(B @ B - B @ two_cos, 2))
+    assert abs(got.defect - want) <= 1e-12 * want
+
+
 def oscillator_problem(omega, x0, v0, steps=2000):
     return variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
