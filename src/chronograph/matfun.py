@@ -114,9 +114,10 @@ def solve_linear(M, rhs):
 def sparse_blocks(shape, parts):
     """CSC matrix of the given shape holding the nonzero entries of each
     part (row offset, column offset, dense block); explicit zeros are not
-    stored."""
+    stored.  With no parts it is the zero matrix."""
     import scipy.sparse as sp  # large operators only; see DENSE_BOUNDARY_MAX
-    rows, cols, vals = [], [], []
+    rows, cols = [np.empty(0, int)], [np.empty(0, int)]
+    vals = [np.empty(0, complex)]
     for r, c, m in parts:
         k, j = np.nonzero(m)
         rows.append(r + k)

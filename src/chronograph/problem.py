@@ -71,9 +71,11 @@ def block_norm(graph, blocks):
     components.  Up to row and column permutations the matrix is the direct
     sum of the components' submatrices, so its norm is the largest of
     theirs; no n x n matrix is formed.  A component with at least
-    matfun.DENSE_BOUNDARY_MAX rows or columns (and at least two of each,
-    as ARPACK needs) is held sparse and normed by Lanczos; the others take
-    one stacked dense SVD per shape.
+    matfun.DENSE_BOUNDARY_MAX rows and columns, at most a quarter of whose
+    entries are nonzero, is held sparse and normed by Lanczos; the others
+    take one stacked dense SVD per shape, which is faster for them (for a
+    full block, up to at least 512 x 512).  A Lanczos iteration that does
+    not converge raises ValueError rather than return a norm.
     """
     parent = {}
 
@@ -95,11 +97,17 @@ def block_norm(graph, blocks):
     for keys in components.values():
         r_off, rows = _local_offsets(graph, {i for i, _ in keys}, pos)
         c_off, cols = _local_offsets(graph, {j for _, j in keys}, pos)
-        if (max(rows, cols) >= matfun.DENSE_BOUNDARY_MAX
-                and min(rows, cols) > 1):
-            norms.append(matfun.lanczos_sigma_max(matfun.sparse_blocks(
+        if (min(rows, cols) >= matfun.DENSE_BOUNDARY_MAX
+                and 4 * sum(np.count_nonzero(blocks[k]) for k in keys)
+                <= rows * cols):
+            norm = matfun.lanczos_sigma_max(matfun.sparse_blocks(
                 (rows, cols), [(r_off[i], c_off[j], blocks[(i, j)])
-                               for i, j in keys])))
+                               for i, j in keys]))
+            if not norm >= 0.0:
+                raise ValueError(f"2-norm of a {rows} x {cols} block "
+                                 f"component: ARPACK's Lanczos iteration "
+                                 f"did not converge")
+            norms.append(norm)
             continue
         sub = np.zeros((rows, cols), dtype=complex)
         for i, j in keys:
@@ -108,7 +116,7 @@ def block_norm(graph, blocks):
         by_shape.setdefault(sub.shape, []).append(sub)
     norms.extend(float(np.max(np.linalg.norm(np.stack(subs), 2, axis=(1, 2))))
                  for subs in by_shape.values())
-    return float(np.max(norms, initial=0.0))  # a NaN norm propagates
+    return max(norms, default=0.0)
 
 
 @dataclass(frozen=True)

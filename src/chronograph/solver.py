@@ -28,6 +28,7 @@ the scan's arithmetic rather than repeating it.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -62,18 +63,19 @@ class NotWellPosed(Exception):
 @dataclass(frozen=True)
 class Monodromy:
     """M = I - B E with E = blockdiag(e^{a_j A_j}), M's extreme singular
-    values, and the propagators E_j.
+    values, the propagators E_j, and solve, b -> M^{-1} b.
 
-    Below DENSE_BOUNDARY_MAX unknowns M is a dense array and lu is None; at
-    or above it M is a scipy CSC matrix and lu its SuperLU factor (None
-    only when SuperLU met an exactly zero pivot, and then sigma_min is 0).
+    Below DENSE_BOUNDARY_MAX unknowns M is a dense array and solve is LU
+    (scipy.linalg.solve); at or above it M is a scipy CSC matrix and solve
+    is its SuperLU factor's.  solve is the one place the boundary solve
+    tells the two apart.
     """
 
     M: object
     sigma_min: float
     sigma_max: float
     propagators: dict  # edge id -> e^{a_j A_j}
-    lu: object = None
+    solve: object
 
     @property
     def rcond(self):
@@ -192,16 +194,18 @@ def assemble_monodromy(problem):
     for r, c, BE in parts:
         M[r:r + BE.shape[0], c:c + BE.shape[1]] -= BE
     sv = np.linalg.svd(M, compute_uv=False)
-    return Monodromy(M, float(sv[-1]), float(sv[0]), propagators)
+    return Monodromy(M, float(sv[-1]), float(sv[0]), propagators,
+                     partial(la.solve, M))
 
 
 def _sparse_monodromy(n, parts, propagators):
     """M = I - B E as a CSC matrix of its nonzero entries, factored once by
     SuperLU.  sigma_max(M) is Lanczos on M, and sigma_min(M) is
     1 / sigma_max(M^-1), Lanczos on the factor's solves (trans="H" for the
-    adjoint).  An exactly zero pivot gives sigma_min = 0, and an inverse
-    whose Lanczos iteration overflows gives sigma_min = 0 or NaN; the
-    boundary solve refuses all three."""
+    adjoint).  An exactly zero pivot gives sigma_min = 0 (and a solve that
+    refuses), and an inverse whose Lanczos iteration overflows gives
+    sigma_min = 0 or NaN; the boundary solve's rcond gate refuses all
+    three."""
     # imported here, not at module top: see matfun.DENSE_BOUNDARY_MAX
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -211,7 +215,10 @@ def _sparse_monodromy(n, parts, propagators):
     try:
         lu = spla.splu(M)
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return Monodromy(M, 0.0, sigma_max, propagators)
+        def singular(b):
+            raise NotWellPosed(0.0)
+
+        return Monodromy(M, 0.0, sigma_max, propagators, singular)
 
     def adjoint_solve(x):
         return lu.solve(x, trans="H")
@@ -221,7 +228,8 @@ def _sparse_monodromy(n, parts, propagators):
                                   rmatmat=adjoint_solve, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         inverse_norm = matfun.lanczos_sigma_max(inverse)
-    return Monodromy(M, 1.0 / inverse_norm, sigma_max, propagators, lu)
+    return Monodromy(M, 1.0 / inverse_norm, sigma_max, propagators,
+                     lu.solve)
 
 
 @dataclass(frozen=True)
@@ -310,8 +318,9 @@ def _require_finite_boundary(problem, x, what):
 
 
 def solve_boundary(problem, mono, F):
-    """Initial values on every edge: c = (I - B E)^{-1} (g + B F), by the
-    dense LU or the sparse factor that assemble_monodromy chose.
+    """Initial values on every edge: c = (I - B E)^{-1} (g + B F), by
+    mono.solve, the dense LU or the sparse factor that assemble_monodromy
+    chose.
 
     mono.rcond, sigma_min / max(1, sigma_max) of I - B E, is the only
     conditioning gate; it bounds sigma_min / sigma_max from above, so no
@@ -326,19 +335,15 @@ def solve_boundary(problem, mono, F):
                              "the boundary right-hand side g + B F")
     if not mono.rcond >= SINGULAR_RCOND:
         raise NotWellPosed(mono.rcond)
-
-    def solve(b):
-        return la.solve(mono.M, b) if mono.lu is None else mono.lu.solve(b)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        c = solve(rhs)
+        c = mono.solve(rhs)
         if not np.isfinite(c).all():
             # 0 * inf in the triangular solves spreads an overflow to
             # unrelated entries.  Solving for rhs / s, with s a power of two
             # near max |rhs| (exact scaling, s finite), and scaling back
             # leaves only the entries that overflow.
             s = 2.0 ** (np.frexp(np.max(np.abs(rhs)))[1] - 1)
-            c = solve(rhs / s) * s
+            c = mono.solve(rhs / s) * s
     _require_finite_boundary(problem, c,
                              "the initial value c of the boundary solve")
     return c

@@ -221,7 +221,7 @@ def test_solution_csv_matches_per_value_writer_on_edge_values():
     times = np.array([-0.0, 0.5, 1.0])
     sols = {"a%d%%s": solver.EdgeSolution("a%d%%s", times, narrow),
             7: solver.EdgeSolution(7, times, wide)}
-    mono = solver.Monodromy(np.eye(4), 1.0, 1.0, {})
+    mono = solver.Monodromy(np.eye(4), 1.0, 1.0, {}, None)
     rep = solver.SolveReport(sols, ("a%d%%s", 7), 0.0, 0.0, 0.0, 0.0, mono,
                              {})
     text = solution_csv(rep)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from chronograph import matfun
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  SampledForcing, TimeGraphProblem,
@@ -144,6 +145,49 @@ def test_block_norm_matches_dense_norm(n, density, seed):
         for i in range(n) for j in range(n) if r.random() < density})
     dense = np.linalg.norm(dense_B(g, B), 2)
     assert abs(block_norm(g, B.blocks) - dense) <= 1e-13 * max(dense, 1.0)
+
+
+def bidiagonal_blocks(m):
+    """Blocks (k, k) and (k, k - 1) on m scalar edges: one m x m component
+    with 2m - 1 nonzero entries."""
+    r = np.random.default_rng(m)
+    g = TimeGraph(tuple(range(m)), {e: 1.0 for e in range(m)},
+                  {e: 1 for e in range(m)})
+    blocks = {(k, j): np.array([[r.standard_normal() + 1j]])
+              for k in range(m) for j in (k, k - 1) if j >= 0}
+    return g, TransmissionOperator(blocks)
+
+
+def full_block(d):
+    """One edge of dimension d with a full random self-block."""
+    r = np.random.default_rng(d)
+    g = TimeGraph((0,), {0: 1.0}, {0: d})
+    return g, TransmissionOperator({(0, 0): r.standard_normal((d, d))})
+
+
+N = matfun.DENSE_BOUNDARY_MAX
+
+
+@pytest.mark.parametrize("build, arg, lanczos", [
+    (bidiagonal_blocks, N - 1, False), (bidiagonal_blocks, N, True),
+    (full_block, N, False)], ids=["sparse-below", "sparse-at", "full-at"])
+def test_block_norm_takes_lanczos_for_large_sparse_components_only(
+        monkeypatch, build, arg, lanczos):
+    """Lanczos serves a component with at least DENSE_BOUNDARY_MAX rows
+    and columns of which at most a quarter are nonzero; a full block of
+    that size is faster by one dense SVD.  Both agree with the dense norm
+    within 1e-12 relative."""
+    g, B = build(arg)
+    shapes = []
+
+    def recorded(A, _lanczos=matfun.lanczos_sigma_max):
+        shapes.append(A.shape)
+        return _lanczos(A)
+
+    monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded)
+    want = np.linalg.norm(dense_B(g, B), 2)
+    assert abs(block_norm(g, B.blocks) - want) <= 1e-12 * want
+    assert shapes == ([(arg, arg)] if lanczos else [])
 
 
 @st.composite

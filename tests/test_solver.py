@@ -662,6 +662,33 @@ def test_lanczos_that_does_not_converge_exits_two(tmp_path, capsys,
         "error: boundary system numerically singular, rcond = nan\n"
 
 
+def uncoupled_doc(n_edges, dim):
+    """n_edges decaying edges of the given dimension, random g, and no
+    blocks, so B = 0, M = I and c = g."""
+    rng = np.random.default_rng(n_edges * dim)
+    return {"edges": [{"id": e, "length": 1.0, "dim": dim, "steps": 4,
+                       "A": np.diag(-rng.uniform(0.5, 2.0, dim)).tolist(),
+                       "g": rng.uniform(-1.0, 1.0, dim).tolist()}
+                      for e in range(n_edges)], "blocks": []}
+
+
+@pytest.mark.parametrize("doc", [uncoupled_doc(N, 1), uncoupled_doc(1, N)],
+                         ids=["scalar-edges", "one-wide-edge"])
+def test_cli_uncoupled_sparse_side_solves_with_c_equal_to_g(tmp_path, doc):
+    """With no blocks the sparse M is the identity: it is built, factored
+    and conditioned like any other, and c = g exactly."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert abs(report["monodromy_rcond"] - 1.0) <= 1e-14
+    problem = problem_io.load_problem_file(str(path))[0]
+    solved = solver.solve(problem)
+    assert not isinstance(solved.monodromy.M, np.ndarray)
+    for edge in doc["edges"]:
+        assert solved.solutions[edge["id"]].states[0].tolist() == edge["g"]
+
+
 def test_import_leaves_scipy_sparse_unloaded():
     """scipy.sparse is imported by the first solve with a large boundary
     system, never by importing the package: it would cost every cold

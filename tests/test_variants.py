@@ -1,12 +1,14 @@
 import cmath
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
-from chronograph import matfun, scenarios, solver, variants
+from chronograph import cli, matfun, scenarios, solver, variants
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  TimeGraphProblem, TransmissionOperator,
@@ -274,6 +276,40 @@ def test_unitarity_defect_of_a_300_edge_chain_is_normed_by_lanczos(
                        for e in edges])
     want = float(np.linalg.norm(B @ B - B @ two_cos, 2))
     assert abs(got.defect - want) <= 1e-12 * want
+
+
+def test_cli_unconverged_unitarity_norm_exits_one_naming_lanczos(
+        tmp_path, capsys, monkeypatch):
+    """When ARPACK does not converge on the 299 x 299 component of
+    B^2 - 2 B cos(aH), the Schrodinger solve exits 1 naming the
+    iteration, writing nothing, instead of reporting a NaN norm.  The
+    boundary system's own Lanczos runs (on the 300 x 300 M) converge."""
+    import scipy.sparse.linalg as spla
+    n = 300
+    svds = spla.svds
+
+    def fails_on_the_component(A, *args, **kwargs):
+        if A.shape == (n - 1, n - 1):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+        return svds(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "svds", fails_on_the_component)
+    doc = {"edges": [{"id": e, "length": 1.0, "dim": 1, "A": [[-0.7]],
+                      "steps": 4} for e in range(n)],
+           "blocks": [{"from": e - 1, "to": e, "matrix": [[0.75]]}
+                      for e in range(1, n)],
+           "mode": "schrodinger"}
+    doc["edges"][0]["g"] = [1.0]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: 2-norm of a {n - 1} x {n - 1} block component: ARPACK's "
+        "Lanczos iteration did not converge\n")
+    assert caught == []
+    assert not (tmp_path / "report.json").exists()
 
 
 def oscillator_problem(omega, x0, v0, steps=2000):
