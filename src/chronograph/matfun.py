@@ -1,10 +1,12 @@
 """Matrix kernels: exponential, phi-functions, solves, Hermitian calculus,
-and the sparse largest singular value used for large block operators.
+and the assembly, factoring and norms of block operators.
 
 Everything downstream (monodromy assembly, exponential integrators, unitarity
 and factorization checks) is built on these few functions.  All routines work
 on complex arrays; real inputs are promoted.
 """
+
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -13,11 +15,11 @@ import scipy.linalg as la
 SINGULARITY_RCOND = 1e-14
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-10
-# Block operators with at least this many rows or columns are held sparse:
-# the boundary system is factored by SuperLU and 2-norms come from Lanczos.
-# Below it one dense SVD is cheaper; the two cross over near 256 unknowns.
-# scipy.sparse is imported only where it is used, because importing it costs
-# every start-up about 30 ms and 4 MB, and small problems never need it.
+# The one dense-or-sparse rule for block operators (block_matrix): sparse
+# when both dimensions are at least DENSE_BOUNDARY_MAX and at most a quarter
+# of the entries are nonzero, dense otherwise, where one SVD is about as fast
+# (crossover measured in CHANGES.md).  scipy.sparse is imported only by the
+# sparse side: importing it costs every start-up about 30 ms and 4 MB.
 DENSE_BOUNDARY_MAX = 256
 
 
@@ -111,21 +113,61 @@ def solve_linear(M, rhs):
     return X, rc
 
 
-def sparse_blocks(shape, parts):
-    """CSC matrix of the given shape holding the nonzero entries of each
-    part (row offset, column offset, dense block); explicit zeros are not
-    stored.  With no parts it is the zero matrix."""
-    import scipy.sparse as sp  # large operators only; see DENSE_BOUNDARY_MAX
-    rows, cols = [np.empty(0, int)], [np.empty(0, int)]
-    vals = [np.empty(0, complex)]
+def block_matrix(shape, parts):
+    """The matrix of the given shape made of the parts (row offset, column
+    offset, dense block) in disjoint slots, zero elsewhere: by the rule at
+    DENSE_BOUNDARY_MAX, a CSC matrix of the nonzero entries or an array."""
+    rows, cols = shape
+    if (min(rows, cols) >= DENSE_BOUNDARY_MAX
+            and 4 * sum(np.count_nonzero(m) for _, _, m in parts)
+            <= rows * cols):
+        import scipy.sparse as sp  # the sparse side only
+        ii, jj = [np.empty(0, int)], [np.empty(0, int)]
+        vals = [np.empty(0, complex)]
+        for r, c, m in parts:
+            k, j = np.nonzero(m)
+            ii.append(r + k)
+            jj.append(c + j)
+            vals.append(m[k, j])
+        return sp.csc_matrix((np.concatenate(vals),
+                              (np.concatenate(ii), np.concatenate(jj))),
+                             shape=shape, dtype=complex)
+    out = np.zeros(shape, dtype=complex)
     for r, c, m in parts:
-        k, j = np.nonzero(m)
-        rows.append(r + k)
-        cols.append(c + j)
-        vals.append(m[k, j])
-    return sp.csc_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=shape, dtype=complex)
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+    return out
+
+
+def factorize(M):
+    """(sigma_min, sigma_max, solve: b -> M^-1 b) of a square block_matrix.
+
+    A dense M takes one SVD and LU (scipy.linalg.solve).  A sparse M is
+    factored once by SuperLU (X. S. Li, ACM TOMS 31(3), 2005); sigma_max is
+    Lanczos on M and sigma_min is 1 / sigma_max(M^-1), Lanczos on the
+    factor's solves.  A zero pivot gives sigma_min = 0 and a solve that
+    raises SingularMatrix; an overflowing inverse, sigma_min 0 or NaN."""
+    if isinstance(M, np.ndarray):
+        sv = np.linalg.svd(M, compute_uv=False)
+        return float(sv[-1]), float(sv[0]), partial(la.solve, M)
+    import scipy.sparse.linalg as spla  # the sparse side only
+    sigma_max = lanczos_sigma_max(M)
+    try:
+        lu = spla.splu(M)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        def singular(b):
+            raise SingularMatrix(0.0)
+
+        return 0.0, sigma_max, singular
+
+    def adjoint_solve(x):
+        return lu.solve(x, trans="H")
+
+    inverse = spla.LinearOperator(M.shape, matvec=lu.solve, matmat=lu.solve,
+                                  rmatvec=adjoint_solve,
+                                  rmatmat=adjoint_solve, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse_norm = lanczos_sigma_max(inverse)
+    return 1.0 / inverse_norm, sigma_max, lu.solve
 
 
 def lanczos_sigma_max(A):
@@ -134,7 +176,7 @@ def lanczos_sigma_max(A):
     (scipy's svds).  The start vector is fixed, so repeated runs agree bit
     for bit.  An iteration that does not converge returns NaN rather than
     an unconverged estimate."""
-    import scipy.sparse.linalg as spla  # see DENSE_BOUNDARY_MAX
+    import scipy.sparse.linalg as spla  # the sparse side only
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
     try:
         s = spla.svds(A, k=1, v0=v0, return_singular_vectors=False)

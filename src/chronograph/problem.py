@@ -15,6 +15,9 @@ import numpy as np
 from . import matfun
 from .graph import TimeGraph
 
+# Steps of an edge whose document or problem gives none.
+DEFAULT_STEPS = 100
+
 
 @dataclass(frozen=True)
 class EdgeOperator:
@@ -70,12 +73,10 @@ def block_norm(graph, blocks):
     Blocks that share a row or a column edge are joined into connected
     components.  Up to row and column permutations the matrix is the direct
     sum of the components' submatrices, so its norm is the largest of
-    theirs; no n x n matrix is formed.  A component with at least
-    matfun.DENSE_BOUNDARY_MAX rows and columns, at most a quarter of whose
-    entries are nonzero, is held sparse and normed by Lanczos; the others
-    take one stacked dense SVD per shape, which is faster for them (for a
-    full block, up to at least 512 x 512).  A Lanczos iteration that does
-    not converge raises ValueError rather than return a norm.
+    theirs; no n x n matrix is formed.  matfun.block_matrix holds each
+    submatrix dense or sparse: a sparse one is normed by Lanczos, and the
+    dense ones take one stacked SVD per shape.  A Lanczos iteration that
+    does not converge raises ValueError rather than return a norm.
     """
     parent = {}
 
@@ -97,23 +98,17 @@ def block_norm(graph, blocks):
     for keys in components.values():
         r_off, rows = _local_offsets(graph, {i for i, _ in keys}, pos)
         c_off, cols = _local_offsets(graph, {j for _, j in keys}, pos)
-        if (min(rows, cols) >= matfun.DENSE_BOUNDARY_MAX
-                and 4 * sum(np.count_nonzero(blocks[k]) for k in keys)
-                <= rows * cols):
-            norm = matfun.lanczos_sigma_max(matfun.sparse_blocks(
-                (rows, cols), [(r_off[i], c_off[j], blocks[(i, j)])
-                               for i, j in keys]))
-            if not norm >= 0.0:
-                raise ValueError(f"2-norm of a {rows} x {cols} block "
-                                 f"component: ARPACK's Lanczos iteration "
-                                 f"did not converge")
-            norms.append(norm)
+        sub = matfun.block_matrix((rows, cols), [
+            (r_off[i], c_off[j], blocks[(i, j)]) for i, j in keys])
+        if isinstance(sub, np.ndarray):
+            by_shape.setdefault(sub.shape, []).append(sub)
             continue
-        sub = np.zeros((rows, cols), dtype=complex)
-        for i, j in keys:
-            sub[r_off[i]:r_off[i] + graph.dims[i],
-                c_off[j]:c_off[j] + graph.dims[j]] = blocks[(i, j)]
-        by_shape.setdefault(sub.shape, []).append(sub)
+        norm = matfun.lanczos_sigma_max(sub)
+        if not norm >= 0.0:
+            raise ValueError(f"2-norm of a {rows} x {cols} block "
+                             f"component: ARPACK's Lanczos iteration "
+                             f"did not converge")
+        norms.append(norm)
     norms.extend(float(np.max(np.linalg.norm(np.stack(subs), 2, axis=(1, 2))))
                  for subs in by_shape.values())
     return max(norms, default=0.0)
@@ -192,7 +187,7 @@ class TimeGraphProblem:
         return np.stack([self.operator(e) for e in edges])
 
     def steps_for(self, edge):
-        return int(self.steps.get(edge, 100))
+        return int(self.steps.get(edge, DEFAULT_STEPS))
 
     def times(self, edge):
         K = self.steps_for(edge)
@@ -216,16 +211,15 @@ def forcing_node_values(problem, edge, times=None):
     Sampled forcing is defined on the edge grid and evaluated piecewise
     linearly elsewhere, matching how the integrator treats it.
     """
-    if times is None:
-        times = problem.times(edge)
-    times = np.asarray(times, dtype=float)
+    n = problem.steps_for(edge) + 1 if times is None else len(times)
     d = problem.graph.dims[edge]
     spec = problem.forcing.spec_for(edge)
     if isinstance(spec, ZeroForcing):
-        return np.zeros((len(times), d), dtype=complex)
+        return np.zeros((n, d), dtype=complex)
     if isinstance(spec, ConstantForcing):
-        return np.tile(spec.value, (len(times), 1))
+        return np.tile(spec.value, (n, 1))
     grid = problem.times(edge)
+    times = grid if times is None else np.asarray(times, dtype=float)
     vals = spec.values
     out = np.empty((len(times), d), dtype=complex)
     for col in range(d):

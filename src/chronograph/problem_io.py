@@ -19,9 +19,9 @@ import jsonschema
 import numpy as np
 
 from .graph import TimeGraph
-from .problem import (ConstantForcing, EdgeOperator, Forcing, SampledForcing,
-                      TimeGraphProblem, TransmissionOperator, ZeroForcing,
-                      validate)
+from .problem import (DEFAULT_STEPS, ConstantForcing, EdgeOperator, Forcing,
+                      SampledForcing, TimeGraphProblem, TransmissionOperator,
+                      ZeroForcing, validate)
 
 
 class ProblemFileError(Exception):
@@ -180,7 +180,7 @@ def load_problem_dict(doc):
             errors.append(f"{where}/length: {lengths[eid]} is not finite")
         d = int(e["dim"])
         dims[eid] = d
-        steps[eid] = int(e.get("steps", 100))
+        steps[eid] = int(e.get("steps", DEFAULT_STEPS))
         operators.append(EdgeOperator(
             eid, _matrix(e["A"], d, d, f"{where}/A", errors)))
         if "g" in e:

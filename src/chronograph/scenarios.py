@@ -10,16 +10,16 @@ import math
 
 import numpy as np
 
+from .problem import DEFAULT_STEPS
+
 SCENARIO_IDS = (
     "periodic", "phase_shift", "jump_condition", "tadpole", "splitting",
     "superposition", "cycle", "multi_loop", "time_travel",
     "time_travel_multiverse", "groundhog", "lions_chain", "frequency_shift",
 )
 
-_DEFAULT_STEPS = 100
 
-
-def _edge(eid, length=1.0, dim=1, A=None, f=None, g=None, steps=_DEFAULT_STEPS):
+def _edge(eid, length=1.0, dim=1, A=None, f=None, g=None, steps=DEFAULT_STEPS):
     doc = {
         "id": eid,
         "length": float(length),

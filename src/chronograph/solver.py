@@ -7,13 +7,9 @@ integrated independently by an exponential-trapezoidal recurrence that is
 exact for the piecewise-linear forcing class, so the only nontrivial numerics
 are the matrix exponentials and the single linear solve.
 
-M = I - B E has the block pattern of I + B.  With fewer than
-DENSE_BOUNDARY_MAX unknowns it is a dense array, conditioned by one SVD and
-solved by LU.  At or above that size it is a CSC matrix of its nonzero
-entries, factored once by SuperLU (X. S. Li, ACM TOMS 31(3), 2005), and its
-extreme singular values come from ARPACK's Lanczos iteration on M and on
-the factor's inverse (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998),
-so no n x n array is formed.
+M = I - B E has the block pattern of I + B.  matfun.block_matrix holds it
+dense or sparse by the one rule stated there, and matfun.factorize gives
+its extreme singular values and its solve on either side.
 
 On an edge with K steps of size h the recurrence is affine,
 x[k+1] = e^{hA} x[k] + b[k], with increments
@@ -28,13 +24,10 @@ the scan's arithmetic rather than repeating it.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-import scipy.linalg as la
 
 from . import matfun
-from .matfun import DENSE_BOUNDARY_MAX
 from .problem import (EdgeOperator, SampledForcing, TimeGraphProblem,
                       ZeroForcing, block_norm, forcing_node_values,
                       stack_edge_values, validate)
@@ -65,10 +58,9 @@ class Monodromy:
     """M = I - B E with E = blockdiag(e^{a_j A_j}), M's extreme singular
     values, the propagators E_j, and solve, b -> M^{-1} b.
 
-    Below DENSE_BOUNDARY_MAX unknowns M is a dense array and solve is LU
-    (scipy.linalg.solve); at or above it M is a scipy CSC matrix and solve
-    is its SuperLU factor's.  solve is the one place the boundary solve
-    tells the two apart.
+    M is a dense array or a CSC matrix (matfun.block_matrix), and sigma_min,
+    sigma_max and solve come from matfun.factorize; solve is the one place
+    the boundary solve tells the two apart.
     """
 
     M: object
@@ -160,12 +152,12 @@ def _exponents(problem, factor, what):
 def assemble_monodromy(problem):
     """The boundary operator M = I - B E and its conditioning.
 
-    M starts as the identity, and each nonzero block B_ij subtracts
-    B_ij e^{a_j A_j} from its (i, j) slot, so E and B E are never formed as
-    n x n matrices.  The propagators of all edges of one dimension come from
-    one stacked exponential and are kept on the result.  Below
-    DENSE_BOUNDARY_MAX unknowns M is dense and its SVD is the only n x n
-    decomposition of a solve; at or above it M is sparse (_sparse_monodromy).
+    Each edge's diagonal slot starts as the identity, and each nonzero
+    block B_ij subtracts B_ij e^{a_j A_j} from slot (i, j), so E and B E
+    are never formed as n x n matrices.  The propagators of all edges of
+    one dimension come from one stacked exponential and are kept on the
+    result.  matfun.block_matrix holds M dense or sparse, and
+    matfun.factorize conditions it.
     """
     _require_valid(problem)
     gr = problem.graph
@@ -178,7 +170,7 @@ def assemble_monodromy(problem):
         _require_finite(problem, edges, lambda e: "the propagator "
                         "e^(length A)", blocks)
         propagators.update(zip(edges, blocks))
-    parts = []  # (row offset, column offset, B_ij e^{a_j A_j})
+    slots = {(e, e): np.eye(gr.dims[e]) for e in gr.edges}
     for (i, j), m in problem.B.blocks.items():
         with np.errstate(over="ignore", invalid="ignore"):
             BE = m @ propagators[j]
@@ -186,50 +178,12 @@ def assemble_monodromy(problem):
             raise ValueError(f"block ({j!r} -> {i!r}): B E is not finite; "
                              f"the block times the propagator of edge "
                              f"{j!r} overflows")
-        parts.append((off[i], off[j], BE))
+        slots[i, j] = slots.get((i, j), 0.0) - BE
     n = gr.size()
-    if n >= DENSE_BOUNDARY_MAX:
-        return _sparse_monodromy(n, parts, propagators)
-    M = np.eye(n, dtype=complex)
-    for r, c, BE in parts:
-        M[r:r + BE.shape[0], c:c + BE.shape[1]] -= BE
-    sv = np.linalg.svd(M, compute_uv=False)
-    return Monodromy(M, float(sv[-1]), float(sv[0]), propagators,
-                     partial(la.solve, M))
-
-
-def _sparse_monodromy(n, parts, propagators):
-    """M = I - B E as a CSC matrix of its nonzero entries, factored once by
-    SuperLU.  sigma_max(M) is Lanczos on M, and sigma_min(M) is
-    1 / sigma_max(M^-1), Lanczos on the factor's solves (trans="H" for the
-    adjoint).  An exactly zero pivot gives sigma_min = 0 (and a solve that
-    refuses), and an inverse whose Lanczos iteration overflows gives
-    sigma_min = 0 or NaN; the boundary solve's rcond gate refuses all
-    three."""
-    # imported here, not at module top: see matfun.DENSE_BOUNDARY_MAX
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    M = sp.identity(n, dtype=complex, format="csc") \
-        - matfun.sparse_blocks((n, n), parts)
-    sigma_max = matfun.lanczos_sigma_max(M)
-    try:
-        lu = spla.splu(M)
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        def singular(b):
-            raise NotWellPosed(0.0)
-
-        return Monodromy(M, 0.0, sigma_max, propagators, singular)
-
-    def adjoint_solve(x):
-        return lu.solve(x, trans="H")
-
-    inverse = spla.LinearOperator((n, n), matvec=lu.solve, matmat=lu.solve,
-                                  rmatvec=adjoint_solve,
-                                  rmatmat=adjoint_solve, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inverse_norm = matfun.lanczos_sigma_max(inverse)
-    return Monodromy(M, 1.0 / inverse_norm, sigma_max, propagators,
-                     lu.solve)
+    M = matfun.block_matrix((n, n), [(off[i], off[j], m)
+                                     for (i, j), m in slots.items()])
+    sigma_min, sigma_max, solve = matfun.factorize(M)
+    return Monodromy(M, sigma_min, sigma_max, propagators, solve)
 
 
 @dataclass(frozen=True)
@@ -319,8 +273,7 @@ def _require_finite_boundary(problem, x, what):
 
 def solve_boundary(problem, mono, F):
     """Initial values on every edge: c = (I - B E)^{-1} (g + B F), by
-    mono.solve, the dense LU or the sparse factor that assemble_monodromy
-    chose.
+    mono.solve, the dense LU or the sparse factor of matfun.factorize.
 
     mono.rcond, sigma_min / max(1, sigma_max) of I - B E, is the only
     conditioning gate; it bounds sigma_min / sigma_max from above, so no
@@ -450,12 +403,21 @@ def propagate(problem, c, mono, recurrences):
 
 
 def solve(problem):
-    """Full pipeline: monodromy, forced integrals, boundary solve, propagation."""
-    mono = assemble_monodromy(problem)
-    recurrences = edge_recurrences(problem)
-    F = forced_terminal_integrals(problem, recurrences)
-    c = solve_boundary(problem, mono, F)
-    return propagate(problem, c, mono, recurrences)
+    """Full pipeline: monodromy, forced integrals, boundary solve, propagation.
+    A refused allocation raises ValueError naming the largest edge."""
+    try:
+        mono = assemble_monodromy(problem)
+        recurrences = edge_recurrences(problem)
+        F = forced_terminal_integrals(problem, recurrences)
+        c = solve_boundary(problem, mono, F)
+        return propagate(problem, c, mono, recurrences)
+    except MemoryError:
+        gr = problem.graph
+        size = {e: (problem.steps_for(e) + 1) * gr.dims[e] for e in gr.edges}
+        e = max(gr.edges, key=size.__getitem__)
+        raise ValueError(f"out of memory: the largest edge, {e!r}, has "
+                         f"(steps + 1) x dim = {size[e]} state values") \
+            from None
 
 
 def resolvent_Dt(problem, lam):

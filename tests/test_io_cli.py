@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chronograph import cli, problem_io, scenarios, solver
+from chronograph import cli, matfun, problem_io, scenarios, solver
 from chronograph.problem_io import (ProblemFileError, atomic_write,
                                     canonical_json, format_number,
                                     load_problem_dict, load_problem_file,
@@ -413,8 +413,8 @@ def overflowing_boundary_doc(n, k, rhs):
 
 
 @pytest.mark.parametrize(
-    "n, k", [(1, 0), (10, 5), (solver.DENSE_BOUNDARY_MAX - 1, 5),
-             (solver.DENSE_BOUNDARY_MAX, 5)],
+    "n, k", [(1, 0), (10, 5), (matfun.DENSE_BOUNDARY_MAX - 1, 5),
+             (matfun.DENSE_BOUNDARY_MAX, 5)],
     ids=["one-edge", "chain", "dense-side", "sparse-side"])
 @pytest.mark.parametrize("rhs, what", [
     (False, "the initial value c of the boundary solve"),
@@ -428,6 +428,29 @@ def test_cli_overflowing_boundary_solve_exits_one_naming_the_edge(
     assert capsys.readouterr().err == \
         f"error: edge {k} (length 1.0): {what} is not finite\n"
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("forcing", [
+    None, {"kind": "constant", "value": [1.0, 2.0]}], ids=["zero", "constant"])
+def test_cli_solve_too_large_to_allocate_exits_one_naming_the_edge(
+        tmp_path, capsys, forcing):
+    """10^15 + 1 nodes of dimension 2 are 32 PB of complex states, beyond
+    the 47-bit address space, so the allocation is refused whatever the
+    overcommit setting."""
+    steps = 10 ** 15
+    doc = {"edges": [{"id": 0, "length": 1, "dim": 1, "A": [[-1]],
+                      "steps": 4},
+                     {"id": "wide", "length": 1, "dim": 2, "steps": steps,
+                      "A": [[-1, 0], [0, -1]]}],
+           "blocks": [{"from": 0, "to": "wide", "matrix": [[1], [1]]}]}
+    if forcing is not None:
+        doc["edges"][1]["f"] = forcing
+    path = make_problem_file(tmp_path, doc)
+    assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        (f"error: out of memory: the largest edge, 'wide', has (steps + 1) "
+         f"x dim = {2 * (steps + 1)} state values\n")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_zero_forcing_with_a_value_exits_one(tmp_path, capsys):

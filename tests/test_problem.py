@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.linalg._linalg
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -84,13 +85,21 @@ def test_validate_never_raises_on_junk():
     assert isinstance(validate(p), list)
 
 
-def test_forcing_node_values_constant_and_zero():
+def test_forcing_node_values_constant_and_zero(monkeypatch):
+    """Zero and constant forcing need only the node count: the edge grid
+    is built for sampled forcing alone."""
+    def no_grid(self, edge):
+        raise AssertionError("edge grid built")
+
+    monkeypatch.setattr(TimeGraphProblem, "times", no_grid)
     p = scalar_problem(steps=4)
     vals = forcing_node_values(p, 0)
     assert vals.shape == (5, 1)
     assert np.all(vals == 1.0)
     z = scalar_problem(f=None, steps=4)
-    assert np.all(forcing_node_values(z, 0) == 0.0)
+    vals = forcing_node_values(z, 0)
+    assert vals.shape == (5, 1)
+    assert np.all(vals == 0.0)
 
 
 def test_forcing_node_values_resamples_linearly():
@@ -165,29 +174,56 @@ def full_block(d):
     return g, TransmissionOperator({(0, 0): r.standard_normal((d, d))})
 
 
+def block_ring(above):
+    """Eight edges of dimension 32 on a ring, each fed by itself and by its
+    predecessor through full blocks: one 256 x 256 component with
+    16 x 32^2 nonzero entries, exactly a quarter.  With above set, one
+    more block adds a single nonzero entry."""
+    r = np.random.default_rng(8)
+    g = TimeGraph(tuple(range(8)), {e: 1.0 for e in range(8)},
+                  {e: 32 for e in range(8)})
+    blocks = {(k, j): r.standard_normal((32, 32))
+              for k in range(8) for j in (k, (k - 1) % 8)}
+    if above:
+        blocks[0, 2] = np.zeros((32, 32))
+        blocks[0, 2][0, 0] = 1.0
+    return g, TransmissionOperator(blocks)
+
+
 N = matfun.DENSE_BOUNDARY_MAX
 
 
 @pytest.mark.parametrize("build, arg, lanczos", [
     (bidiagonal_blocks, N - 1, False), (bidiagonal_blocks, N, True),
-    (full_block, N, False)], ids=["sparse-below", "sparse-at", "full-at"])
+    (full_block, N, False), (block_ring, False, True),
+    (block_ring, True, False)],
+    ids=["sparse-below", "sparse-at", "full-at", "ring-at-quarter",
+         "ring-above-quarter"])
 def test_block_norm_takes_lanczos_for_large_sparse_components_only(
         monkeypatch, build, arg, lanczos):
     """Lanczos serves a component with at least DENSE_BOUNDARY_MAX rows
-    and columns of which at most a quarter are nonzero; a full block of
-    that size is faster by one dense SVD.  Both agree with the dense norm
-    within 1e-12 relative."""
+    and columns of which at most a quarter are nonzero; any other takes
+    one dense SVD, a full block of that size too.  Both agree with the
+    dense norm within 1e-12 relative."""
     g, B = build(arg)
+    n = g.size()
     shapes = []
+    svd_shapes = []
 
     def recorded(A, _lanczos=matfun.lanczos_sigma_max):
         shapes.append(A.shape)
         return _lanczos(A)
 
-    monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded)
+    def recorded_svd(a, *args, _svd=numpy.linalg._linalg.svd, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return _svd(a, *args, **kwargs)
+
     want = np.linalg.norm(dense_B(g, B), 2)
+    monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded)
+    monkeypatch.setattr(numpy.linalg._linalg, "svd", recorded_svd)
     assert abs(block_norm(g, B.blocks) - want) <= 1e-12 * want
-    assert shapes == ([(arg, arg)] if lanczos else [])
+    assert shapes == ([(n, n)] if lanczos else [])
+    assert svd_shapes == ([] if lanczos else [(1, n, n)])
 
 
 @st.composite

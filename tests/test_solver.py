@@ -362,25 +362,51 @@ def schrodinger_graph_doc(n, dims):
     return doc
 
 
-N = solver.DENSE_BOUNDARY_MAX
+def block_ring_doc(above):
+    """Eight edges of dimension 32 on a ring, each fed by itself and by its
+    predecessor through full blocks.  A is diagonal, so B E has B's
+    pattern, and M = I - B E has 16 x 32^2 nonzero entries, exactly a
+    quarter of 256 x 256.  With above set, one more block adds a single
+    nonzero entry."""
+    doc = scalar_graph_doc(8, True, (32,))
+    doc["blocks"] += [{"from": k, "to": k,
+                       "matrix": (0.1 * np.ones((32, 32)) / 32).tolist()}
+                      for k in range(8)]
+    if above:
+        extra = np.zeros((32, 32))
+        extra[0, 0] = 0.1
+        doc["blocks"].append({"from": 2, "to": 0, "matrix": extra.tolist()})
+    return doc
+
+
+N = matfun.DENSE_BOUNDARY_MAX
 
 
 @pytest.mark.parametrize(
-    "n, ring, dims, mode",
-    [(100, False, (1,), "parabolic"), (100, True, (1,), "parabolic"),
-     (100, True, (1, 2), "parabolic"), (100, False, (1, 2), "schrodinger"),
-     (N - 1, False, (1,), "parabolic"), (N, False, (1,), "parabolic")],
+    "doc, dense",
+    [(scalar_graph_doc(100, False), True), (scalar_graph_doc(100, True), True),
+     (scalar_graph_doc(100, True, (1, 2)), True),
+     (schrodinger_graph_doc(100, (1, 2)), True),
+     (scalar_graph_doc(N - 1, False), True),
+     (scalar_graph_doc(N, False), False),
+     (scalar_graph_doc(1, True, (N,)), True),
+     (block_ring_doc(above=True), True), (block_ring_doc(above=False), False)],
     ids=["False-dims0", "True-dims1", "True-dims2", "schrodinger",
-         "dense-side", "sparse-side"])
+         "dense-side", "sparse-side", "full-self-block",
+         "ring-above-quarter", "ring-at-quarter"])
 def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
-                                                     n, ring, dims, mode):
-    """Below DENSE_BOUNDARY_MAX unknowns a solve takes one n x n SVD and
-    one dense solve of M; at or above it, none."""
+                                                     doc, dense):
+    """On the dense side of matfun.block_matrix's rule (below
+    DENSE_BOUNDARY_MAX unknowns, or more than a quarter of M nonzero) a
+    solve takes one n x n SVD and one dense solve of M, and no Lanczos
+    iteration on it; on the sparse side, no SVD or dense solve of M and
+    two Lanczos iterations (M and its inverse)."""
     path = tmp_path / "problem.json"
-    doc = (schrodinger_graph_doc(n, dims) if mode == "schrodinger"
-           else scalar_graph_doc(n, ring, dims))
     path.write_text(json.dumps(doc))
-    size = sum(dims[k % len(dims)] for k in range(n))
+    n = len(doc["edges"])
+    groups = sorted({edge["dim"] for edge in doc["edges"]})
+    mode = doc["mode"]
+    size = sum(edge["dim"] for edge in doc["edges"])
     stage = [None]
     expm_calls = collections.Counter()
     svd_shapes = []
@@ -388,6 +414,7 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     eig_calls = []
     forcing_edges = collections.Counter()
     diagnostic_stages = collections.defaultdict(list)
+    lanczos_stages = []
 
     def in_stage(name, fn):
         def wrapper(*args, **kwargs):
@@ -413,7 +440,13 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
         return wrapper
 
     def square_svds():
-        return [s for s in svd_shapes if s[-2:] == (size, size)]
+        """SVDs of one size x size matrix; block_norm's stacked SVDs of
+        components are (k, rows, cols)."""
+        return [s for s in svd_shapes if s == (size, size)]
+
+    def recorded_lanczos(A, _lanczos=matfun.lanczos_sigma_max):
+        lanczos_stages.append(stage[-1])
+        return _lanczos(A)
 
     def counted_eig(A, _eig=matfun.hermitian_eig):
         eig_calls.append(np.shape(A))
@@ -432,6 +465,7 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
 
     monkeypatch.setattr(matfun, "expm", counted_expm)
     monkeypatch.setattr(matfun, "hermitian_eig", counted_eig)
+    monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded_lanczos)
     for name in ("assemble_monodromy", "edge_recurrences"):
         monkeypatch.setattr(solver, name,
                             in_stage(name, getattr(solver, name)))
@@ -460,14 +494,14 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     assert forcing_edges == collections.Counter(range(n))
     # one stacked exponential per stage and dim group (expm_phi12's
     # augmented matrices are 3d x 3d), none anywhere else
-    groups = sorted(set(dims))
     solve_expms = collections.Counter(
         [("assemble_monodromy", d) for d in groups]
         + [("edge_recurrences", 3 * d) for d in groups])
     assert expm_calls == solve_expms
-    dense_side = size < N
+    dense_side = int(dense)
     assert square_svds() == [(size, size)] * dense_side
     assert inverted == [("solve", (size, size))] * dense_side
+    assert lanczos_stages.count("assemble_monodromy") == 2 * (1 - dense_side)
     if mode == "schrodinger":
         # the unitarity check reads the solve's propagators and singular
         # values: no second SVD or inverse of M, one eigensystem per edge
