@@ -24,6 +24,10 @@ from .graph import classify_solvability, pattern_of
 from .problem import diagnose
 from .problem_io import ProblemFileError, atomic_write, canonical_json
 
+# compare's defaults: reference steps per edge, tolerance per discrepancy
+DEFAULT_CN_STEPS = 10_000
+DEFAULT_TOL = 1e-6
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -48,8 +52,8 @@ def build_parser():
     p_cmp = sub.add_parser("compare",
                            help="cross-check against the reference solver")
     p_cmp.add_argument("file")
-    p_cmp.add_argument("--cn-steps", type=int, default=10_000)
-    p_cmp.add_argument("--tol", type=float, default=1e-6)
+    p_cmp.add_argument("--cn-steps", type=int, default=DEFAULT_CN_STEPS)
+    p_cmp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_cmp.add_argument("--out", default=".", help="output directory")
     p_cmp.set_defaults(func=_cmd_compare)
 
@@ -148,8 +152,7 @@ def _effective(problem, mode):
     """The problem the solver integrates: generators i H_j in Schrodinger
     mode, the document's own operators otherwise."""
     if mode == "schrodinger":
-        return variants.schrodinger_effective(
-            variants.SchrodingerProblem(problem))
+        return variants.schrodinger_effective(problem)
     return problem
 
 
@@ -212,8 +215,8 @@ def run_compare(path, cfg=None):
     """
     def work():
         opts = dict(cfg or {})
-        cn_steps_req = int(opts.pop("cn_steps", 10_000))
-        tol = float(opts.pop("tol", 1e-6))
+        cn_steps_req = int(opts.pop("cn_steps", DEFAULT_CN_STEPS))
+        tol = float(opts.pop("tol", DEFAULT_TOL))
         out_dir = opts.pop("out", ".")
         if opts:
             raise ValueError(f"unknown compare options: {sorted(opts)}")
@@ -246,8 +249,13 @@ def _compare(path, cn_steps_req, tol, out_dir):
     lcm = math.lcm(*(problem.steps_for(e) for e in problem.graph.edges))
     cn_steps = max(cn_steps_req, 2 * lcm)
     cn_steps = ((cn_steps + 2 * lcm - 1) // (2 * lcm)) * (2 * lcm)
-    fine = oracle.cn_solve(problem, cn_steps)
-    coarse = oracle.cn_solve(problem, cn_steps // 2)
+    try:
+        fine = oracle.cn_solve(problem, cn_steps)
+        coarse = oracle.cn_solve(problem, cn_steps // 2)
+    except MemoryError:
+        raise ValueError(f"compare option cn_steps (--cn-steps): the "
+                         f"reference grid of {cn_steps} steps per edge "
+                         "does not fit in memory") from None
 
     state_disc = _max_state_disc(problem, report, fine, cn_steps)
     coarse_disc = _max_state_disc(problem, report, coarse, cn_steps // 2)

@@ -185,38 +185,25 @@ def lanczos_sigma_max(A):
     return float(s[0])
 
 
-class HermitianEigenSystem:
-    """Spectral decomposition A = V diag(w) V* with real ascending eigenvalues."""
-
-    def __init__(self, eigenvalues, eigenvectors):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.eigenvectors = np.asarray(eigenvectors, dtype=complex)
-
-    def reconstruct(self):
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
-
-
-def hermitian_eig(A):
-    """Eigendecomposition of a (numerically) Hermitian matrix.
-
-    The input is symmetrized to (A + A*)/2 before decomposition; a relative
-    asymmetry above HERMITIAN_TOL raises NotHermitian.
-    """
+def hermitian_part(A):
+    """(A + A*)/2, exactly Hermitian; an asymmetry ||A - A*||_2 above
+    HERMITIAN_TOL * max(||A||_2, 1) raises NotHermitian."""
     A = _as_square(A)
     scale = np.linalg.norm(A, 2)
     asym = np.linalg.norm(A - A.conj().T, 2)
     if asym > HERMITIAN_TOL * max(scale, 1.0):
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds "
                            f"{HERMITIAN_TOL:.1e} * max(||A||, 1)")
-    H = 0.5 * (A + A.conj().T)
-    w, V = np.linalg.eigh(H)
-    return HermitianEigenSystem(w, V)
+    return 0.5 * (A + A.conj().T)
 
 
-def funm_hermitian(E, f):
-    """Apply a scalar function through the spectral decomposition: V f(w) V*."""
-    V = E.eigenvectors
-    fw = np.asarray([f(x) for x in E.eigenvalues], dtype=complex)
+def hermitian_eig(A):
+    """(w, V), w ascending, with hermitian_part(A) = V diag(w) V*."""
+    return np.linalg.eigh(hermitian_part(A))
+
+
+def funm_hermitian(eig, f):
+    """V f(w) V* for the spectral decomposition eig = (w, V)."""
+    w, V = eig
+    fw = np.asarray([f(x) for x in w], dtype=complex)
     return (V * fw) @ V.conj().T
-

@@ -23,14 +23,13 @@ states with one sequential step of the recurrence at every node, so it checks
 the scan's arithmetic rather than repeating it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import matfun
-from .problem import (EdgeOperator, SampledForcing, TimeGraphProblem,
-                      ZeroForcing, block_norm, forcing_node_values,
-                      stack_edge_values, validate)
+from .problem import (EdgeOperator, SampledForcing, ZeroForcing, block_norm,
+                      forcing_node_values, stack_edge_values, validate)
 
 MILD = "MILD"
 STRONG = "STRONG"
@@ -120,20 +119,27 @@ def _require_valid(problem):
 
 
 def _require_finite(problem, edges, what, *stacks):
-    """Reject overflowed per-edge arrays, naming the first offending edge
-    and its length; what(edge) says what overflowed.  Each stack holds one
-    array per edge: stacked matrices, or a list when their shapes differ."""
+    """Reject overflowed stacks of per-edge matrices, naming the first
+    offending edge and its length; what(edge) says what overflowed."""
     ok = np.ones(len(edges), dtype=bool)
     for stack in stacks:
-        if isinstance(stack, list):
-            ok &= [np.isfinite(x).all() for x in stack]
-        else:
-            ok &= np.isfinite(stack).all(axis=(-2, -1))
+        ok &= np.isfinite(stack).all(axis=(-2, -1))
     if not ok.all():
         e = edges[int(np.argmin(ok))]
-        raise ValueError(f"edge {e!r} (length "
-                         f"{float(problem.graph.lengths[e])!r}): "
-                         f"{what(e)} is not finite")
+        raise ValueError(f"{_edge_label(problem, e)}: {what(e)} is not finite")
+
+
+def _edge_label(problem, e):
+    return f"edge {e!r} (length {float(problem.graph.lengths[e])!r})"
+
+
+def _finite(problem, e, what, x):
+    """x if all its entries are finite, else ValueError naming what and,
+    unless e is None, edge e."""
+    if np.isfinite(x).all():
+        return x
+    where = "" if e is None else _edge_label(problem, e) + ": "
+    raise ValueError(f"{where}{what} is not finite")
 
 
 def _exponents(problem, factor, what):
@@ -217,9 +223,8 @@ def edge_recurrences(problem):
             with np.errstate(over="ignore", invalid="ignore"):
                 b = (f[:-1] @ (h[e] * P1_e).T
                      + (f[1:] - f[:-1]) @ (h[e] * P2_e).T)
-            out[e] = EdgeRecurrence(Eh_e, b, f)
-        _require_finite(problem, edges, lambda e: f"the forcing increment "
-                        f"for h = {h[e]!r}", [out[e].b for e in edges])
+            out[e] = EdgeRecurrence(Eh_e, _finite(
+                problem, e, f"the forcing increment for h = {h[e]!r}", b), f)
     return {e: out[e] for e in gr.edges}
 
 
@@ -254,10 +259,9 @@ def forced_terminal_integrals(problem, recurrences):
     _require_valid(problem)
     gr = problem.graph
     with np.errstate(over="ignore", invalid="ignore"):
-        F = [_scan(recurrences[e], np.zeros(gr.dims[e]))[-1]
+        F = [_finite(problem, e, "the forced terminal value",
+                     _scan(recurrences[e], np.zeros(gr.dims[e]))[-1])
              for e in gr.edges]
-    _require_finite(problem, gr.edges, lambda e: "the forced terminal value",
-                    F)
     return np.concatenate(F)
 
 
@@ -267,8 +271,8 @@ def _require_finite_boundary(problem, x, what):
     if not np.isfinite(x).all():
         gr = problem.graph
         off = gr.offsets()
-        _require_finite(problem, gr.edges, lambda e: what,
-                        [x[off[e]:off[e] + gr.dims[e]] for e in gr.edges])
+        for e in gr.edges:
+            _finite(problem, e, what, x[off[e]:off[e] + gr.dims[e]])
 
 
 def solve_boundary(problem, mono, F):
@@ -324,23 +328,29 @@ def _composite_simpson(values, h):
 def energy_defect_of(problem, solutions, recurrences):
     """|Re<psi', psi> - (||psi_+||^2 - ||psi_-||^2)/2| with psi' = A psi + f
     at the nodes (f from the solve's recurrences) and composite Simpson
-    along each edge."""
+    along each edge; a term that overflows raises ValueError (_finite)."""
     inner = 0.0
     plus_sq = 0.0
     minus_sq = 0.0
-    for e in problem.graph.edges:
-        sol = solutions[e]
-        A = problem.operator(e)
-        deriv = sol.states @ A.T + recurrences[e].f
-        values = np.real(np.sum(np.conj(sol.states) * deriv, axis=1))
-        h = sol.times[1] - sol.times[0] if len(sol.times) > 1 else 0.0
-        inner += _composite_simpson(values, h)
-        plus_sq += float(np.sum(np.abs(sol.states[-1]) ** 2))
-        minus_sq += float(np.sum(np.abs(sol.states[0]) ** 2))
-    return abs(inner - 0.5 * (plus_sq - minus_sq))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in problem.graph.edges:
+            sol = solutions[e]
+            A = problem.operator(e)
+            deriv = sol.states @ A.T + recurrences[e].f
+            values = np.real(np.sum(np.conj(sol.states) * deriv, axis=1))
+            h = sol.times[1] - sol.times[0] if len(sol.times) > 1 else 0.0
+            integral = _composite_simpson(values, h)
+            plus = float(np.sum(np.abs(sol.states[-1]) ** 2))
+            minus = float(np.sum(np.abs(sol.states[0]) ** 2))
+            _finite(problem, e, "an energy term", (integral, plus, minus))
+            inner += integral
+            plus_sq += plus
+            minus_sq += minus
+        return _finite(problem, None, "the energy defect",
+                       abs(inner - 0.5 * (plus_sq - minus_sq)))
 
 
-def _one_step_defect(solutions, recurrences):
+def _one_step_defect(problem, solutions, recurrences):
     """Max over nodes of ||x[k+1] - (Eh x[k] + b[k])|| / (1 + ||x[k]||).
 
     The scan forms each state from powers of Eh applied to the inputs; this
@@ -351,8 +361,10 @@ def _one_step_defect(solutions, recurrences):
     for e, sol in solutions.items():
         rec = recurrences[e]
         X = sol.states
-        defect = np.linalg.norm(X[1:] - (X[:-1] @ rec.Eh.T + rec.b), axis=1)
-        scale = 1.0 + np.linalg.norm(X[:-1], axis=1)
+        defect = _finite(problem, e, "the one-step defect", np.linalg.norm(
+            X[1:] - (X[:-1] @ rec.Eh.T + rec.b), axis=1))
+        scale = _finite(problem, e, "the step defect's scale 1 + ||x[k]||",
+                        1.0 + np.linalg.norm(X[:-1], axis=1))
         worst = max(worst, float(np.max(defect / scale)))
     return worst
 
@@ -362,8 +374,11 @@ def _boundary_residual(problem, solutions):
     minus = np.concatenate([solutions[e].states[0] for e in gr.edges])
     plus = np.concatenate([solutions[e].states[-1] for e in gr.edges])
     g = stack_edge_values(gr, problem.g)
-    return float(np.linalg.norm(minus - problem.B.apply(gr, plus) - g)
-                 / (1.0 + np.linalg.norm(g)))
+    residual = _finite(problem, None, "the boundary residual", np.linalg.norm(
+        minus - problem.B.apply(gr, plus) - g))
+    g_norm = _finite(problem, None, "||g|| in the boundary residual",
+                     np.linalg.norm(g))
+    return float(residual / (1.0 + g_norm))
 
 
 def _commutator_norm(problem):
@@ -378,7 +393,8 @@ def _commutator_norm(problem):
 
 def propagate(problem, c, mono, recurrences):
     """Integrate every edge from the given stacked initial values with the
-    solve's recurrences and attach residual diagnostics."""
+    solve's recurrences and attach residual diagnostics; a state or
+    residual term that overflows raises ValueError naming it (_finite)."""
     _require_valid(problem)
     gr = problem.graph
     off = gr.offsets()
@@ -387,19 +403,21 @@ def propagate(problem, c, mono, recurrences):
         raise ValueError(f"boundary vector length {c.shape[0]} != {gr.size()}")
 
     solutions = {}
-    for e in gr.edges:
-        states = _scan(recurrences[e], c[off[e]:off[e] + gr.dims[e]])
-        solutions[e] = EdgeSolution(e, problem.times(e), states)
-    return SolveReport(
-        solutions=solutions,
-        edge_order=tuple(gr.edges),
-        boundary_residual=_boundary_residual(problem, solutions),
-        ode_residual=_one_step_defect(solutions, recurrences),
-        energy_defect=energy_defect_of(problem, solutions, recurrences),
-        commutator_norm=_commutator_norm(problem),
-        monodromy=mono,
-        recurrences=recurrences,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in gr.edges:
+            states = _scan(recurrences[e], c[off[e]:off[e] + gr.dims[e]])
+            solutions[e] = EdgeSolution(e, problem.times(e), _finite(
+                problem, e, "a propagated state", states))
+        return SolveReport(
+            solutions=solutions,
+            edge_order=tuple(gr.edges),
+            boundary_residual=_boundary_residual(problem, solutions),
+            ode_residual=_one_step_defect(problem, solutions, recurrences),
+            energy_defect=energy_defect_of(problem, solutions, recurrences),
+            commutator_norm=_commutator_norm(problem),
+            monodromy=mono,
+            recurrences=recurrences,
+        )
 
 
 def solve(problem):
@@ -429,9 +447,7 @@ def resolvent_Dt(problem, lam):
     gr = problem.graph
     ops = tuple(EdgeOperator(e, complex(lam) * np.eye(gr.dims[e]))
                 for e in gr.edges)
-    shifted = TimeGraphProblem(gr, ops, problem.B, dict(problem.g),
-                               problem.forcing, dict(problem.steps))
-    return solve(shifted)
+    return solve(replace(problem, operators=ops))
 
 
 def solution_grade(problem, report=None):

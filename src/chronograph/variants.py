@@ -7,7 +7,7 @@ for realness, positivity and sup-norm bounds of the parabolic solve.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -28,14 +28,6 @@ class HypothesesNotMet(Exception):
     def __init__(self, failed):
         super().__init__("hypotheses not met: " + ", ".join(failed))
         self.failed = tuple(failed)
-
-
-@dataclass(frozen=True)
-class SchrodingerProblem:
-    """A time-graph problem whose edge matrices are Hermitian; the generator
-    actually used on each edge is i H_j."""
-
-    base: TimeGraphProblem
 
 
 @dataclass(frozen=True)
@@ -71,25 +63,19 @@ class MappingReport:
     failed_hypotheses: tuple
 
 
-def schrodinger_effective(p: SchrodingerProblem):
-    """The same data with generators i H_j, H_j the symmetrized A_j; an edge
-    whose A_j is not Hermitian raises NotHermitian naming the edge."""
-    gr = p.base.graph
+def schrodinger_effective(problem):
+    """The problem with generators i H_j, H_j = (A_j + A_j*)/2 exactly, so
+    each generator is skew-Hermitian bit for bit; an edge whose A_j is not
+    Hermitian raises NotHermitian naming the edge."""
     ops = []
-    for e in gr.edges:
+    for e in problem.graph.edges:
         try:
-            H = matfun.hermitian_eig(p.base.operator(e)).reconstruct()
+            H = matfun.hermitian_part(problem.operator(e))
         except matfun.NotHermitian as exc:
             raise matfun.NotHermitian(f"edge {e!r}: A is not Hermitian: "
                                       f"{exc}") from None
         ops.append(EdgeOperator(e, 1j * H))
-    return TimeGraphProblem(gr, ops, p.base.B, dict(p.base.g),
-                            p.base.forcing, dict(p.base.steps))
-
-
-def schrodinger_solve(p: SchrodingerProblem):
-    """Delegate to the parabolic solver with generators i H_j."""
-    return solver.solve(schrodinger_effective(p))
+    return replace(problem, operators=tuple(ops))
 
 
 _COMMUTATOR_TOL = 1e-10
@@ -133,13 +119,14 @@ def _sqrt_abs_operators(p: SecondOrderProblem):
     """S_j = |A_j|^{1/2} per edge; A_j must be Hermitian and invertible."""
     out = {}
     for op in p.operators:
-        eig = matfun.hermitian_eig(op.A)
-        scale = max(np.max(np.abs(eig.eigenvalues)), 1.0)
-        if np.min(np.abs(eig.eigenvalues)) <= 1e-12 * scale:
+        w, V = matfun.hermitian_eig(op.A)
+        scale = max(np.max(np.abs(w)), 1.0)
+        if np.min(np.abs(w)) <= 1e-12 * scale:
             raise ValueError(
                 f"edge {op.edge!r}: operator numerically singular, no"
                 " invertible square root")
-        out[op.edge] = matfun.funm_hermitian(eig, lambda x: math.sqrt(abs(x)))
+        out[op.edge] = matfun.funm_hermitian((w, V),
+                                             lambda x: math.sqrt(abs(x)))
     return out
 
 

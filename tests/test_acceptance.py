@@ -167,8 +167,7 @@ def test_energy_identity_quadrature_order():
 def unitarity(base):
     """The unitarity classification of base read as a Schrodinger problem,
     from the solve of its effective problem."""
-    effective = variants.schrodinger_effective(
-        variants.SchrodingerProblem(base))
+    effective = variants.schrodinger_effective(base)
     return variants.unitarity_check(solver.solve(effective), effective)
 
 

@@ -430,6 +430,52 @@ def test_cli_overflowing_boundary_solve_exits_one_naming_the_edge(
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def scalar_edge(eid, a, g=None, f=None, steps=10):
+    edge = {"id": eid, "length": 1, "dim": 1, "A": [[a]], "steps": steps}
+    if g is not None:
+        edge["g"] = [g]
+    if f is not None:
+        edge["f"] = {"kind": "constant", "value": [f]}
+    return edge
+
+
+@pytest.mark.parametrize("doc, message", [
+    # e^700 and c = g are finite, the states reach 1e314
+    ({"edges": [scalar_edge(0, 700.0, g=1e10)]},
+     "edge 0 (length 1.0): a propagated state is not finite"),
+    ({"edges": [scalar_edge(0, 700.0, g=1e10), scalar_edge(1, -1.0)],
+      "blocks": [{"from": 0, "to": 1, "matrix": [[1e-300]]}]},
+     "edge 0 (length 1.0): a propagated state is not finite"),
+    # finite states whose squared norms or products with A overflow
+    ({"edges": [scalar_edge(0, -1.0, g=1e200)]},
+     "||g|| in the boundary residual is not finite"),
+    ({"edges": [scalar_edge(0, 20.0, g=1e150)]},
+     "edge 0 (length 1.0): the step defect's scale 1 + ||x[k]|| is not "
+     "finite"),
+    ({"edges": [scalar_edge(0, -1e10, g=1e150)]},
+     "edge 0 (length 1.0): an energy term is not finite"),
+    ({"edges": [scalar_edge(0, 0.0, g=1.3e154, f=1e153, steps=1)]},
+     "edge 0 (length 1.0): an energy term is not finite"),
+    ({"edges": [scalar_edge(0, 0.0, g=1.2e154, steps=1),
+                scalar_edge(1, 0.0, steps=1)],
+      "blocks": [{"from": 0, "to": 1, "matrix": [[1.0]]}]},
+     "the energy defect is not finite")],
+    ids=["state", "state-coupled", "g-norm", "step-scale", "energy-integral",
+         "end-state-energy", "energy-sum"])
+def test_cli_overflow_after_the_boundary_solve_exits_one_naming_it(
+        tmp_path, capsys, doc, message):
+    """The boundary solve succeeds, but a state or a residual term does not
+    fit in a double: one error line names the edge, where there is one,
+    and the quantity."""
+    path = make_problem_file(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("forcing", [
     None, {"kind": "constant", "value": [1.0, 2.0]}], ids=["zero", "constant"])
 def test_cli_solve_too_large_to_allocate_exits_one_naming_the_edge(
@@ -595,7 +641,10 @@ def test_cli_compare_within_tolerance(tmp_path):
 
 @pytest.mark.parametrize("option, value", [
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-6"),
-    ("--cn-steps", "0")])
+    ("--cn-steps", "0"),
+    # 10^15 + 1 grid times are 7.1 PiB, beyond the 47-bit address space,
+    # so the allocation is refused whatever the overcommit setting
+    ("--cn-steps", str(10 ** 15))])
 def test_cli_compare_rejects_an_unusable_option(tmp_path, capsys, option,
                                                 value):
     path = make_problem_file(tmp_path, MINIMAL)

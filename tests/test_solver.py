@@ -233,7 +233,7 @@ def test_one_step_defect_detects_a_perturbed_state():
         recurrences = solver.edge_recurrences(p)
         rep = solver.solve(p)
         assert rep.ode_residual <= 1e-11, sid
-        assert solver._one_step_defect(rep.solutions, recurrences) \
+        assert solver._one_step_defect(p, rep.solutions, recurrences) \
             == rep.ode_residual, sid
         e = p.graph.edges[0]
         sol = rep.solutions[e]
@@ -241,7 +241,26 @@ def test_one_step_defect_detects_a_perturbed_state():
         states[len(states) // 2, 0] += 1e-6
         bad = dict(rep.solutions)
         bad[e] = dataclasses.replace(sol, states=states)
-        assert solver._one_step_defect(bad, recurrences) > 1e-8, sid
+        assert solver._one_step_defect(p, bad, recurrences) > 1e-8, sid
+
+
+def test_residuals_of_an_overflowing_state_name_it():
+    """A finite state of 1e200 overflows the unscaled norms: the one-step
+    defect names its edge, the boundary residual its numerator, instead of
+    dropping a NaN or reporting an infinity."""
+    p = preset("periodic")
+    rep = solver.solve(p)
+    sol = rep.solutions[0]
+    states = sol.states.copy()
+    states[0, 0] = 1e200
+    bad = {0: dataclasses.replace(sol, states=states)}
+    with np.errstate(over="ignore", invalid="ignore"):  # as in propagate
+        with pytest.raises(ValueError, match=r"^edge 0 \(length 1\.0\): "
+                           r"the one-step defect is not finite$"):
+            solver._one_step_defect(p, bad, rep.recurrences)
+        with pytest.raises(ValueError, match="^the boundary residual is not "
+                           "finite$"):
+            solver._boundary_residual(p, bad)
 
 
 def test_overflowing_step_operator_names_the_edge():
@@ -504,8 +523,9 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     assert lanczos_stages.count("assemble_monodromy") == 2 * (1 - dense_side)
     if mode == "schrodinger":
         # the unitarity check reads the solve's propagators and singular
-        # values: no second SVD or inverse of M, one eigensystem per edge
-        assert len(eig_calls) == n
+        # values: no second SVD or inverse of M; the generators i H_j are
+        # formed without an eigensystem
+        assert eig_calls == []
         unitarity = json.loads((tmp_path / "report.json").read_text())[
             "unitarity"]
         assert unitarity["checked"] and unitarity["unitary"] is False

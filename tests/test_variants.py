@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
-from chronograph import cli, matfun, scenarios, solver, variants
+from chronograph import cli, matfun, problem_io, scenarios, solver, variants
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  TimeGraphProblem, TransmissionOperator,
@@ -25,20 +25,23 @@ def hermitian(seed, n):
 
 def oscillatory_ivp(H, g0, length=1.0, steps=200):
     d = H.shape[0]
-    base = TimeGraphProblem(
+    return TimeGraphProblem(
         graph=TimeGraph((0,), {0: length}, {0: d}),
         operators=(EdgeOperator(0, H),),
         B=TransmissionOperator({}),
         g={0: np.asarray(g0, dtype=complex)},
         steps={0: steps},
     )
-    return variants.SchrodingerProblem(base)
+
+
+def schrodinger_solve(problem):
+    return solver.solve(variants.schrodinger_effective(problem))
 
 
 def test_oscillatory_flow_preserves_norm(rng):
     H = hermitian(5, 3)
     g0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    rep = variants.schrodinger_solve(oscillatory_ivp(H, g0))
+    rep = schrodinger_solve(oscillatory_ivp(H, g0))
     norms = np.linalg.norm(rep.solutions[0].states, axis=1)
     assert np.max(np.abs(norms - np.linalg.norm(g0))) <= 1e-10
 
@@ -46,7 +49,7 @@ def test_oscillatory_flow_preserves_norm(rng):
 def test_oscillatory_flow_matches_phase_factor(rng):
     H = hermitian(9, 2)
     g0 = rng.standard_normal(2)
-    rep = variants.schrodinger_solve(oscillatory_ivp(H, g0, steps=50))
+    rep = schrodinger_solve(oscillatory_ivp(H, g0, steps=50))
     sol = rep.solutions[0]
     for t, state in zip(sol.times, sol.states):
         want = scipy.linalg.expm(1j * t * H) @ g0
@@ -61,14 +64,64 @@ def test_oscillatory_rejects_asymmetric_operator():
         g={0: np.zeros(2)},
     )
     with pytest.raises(NotHermitian):
-        variants.schrodinger_solve(variants.SchrodingerProblem(base))
+        schrodinger_solve(base)
+
+
+def wide_state_schrodinger_doc(dim=64, edges=3, steps=100):
+    """The benchmark's wide_state Schrodinger document (seed 0): a chain of
+    edges sharing one real symmetric H, coupled by identity blocks."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((dim, dim))
+    H = (X + X.T) / (2.0 * np.sqrt(dim))
+    out = []
+    for e in range(edges):
+        edge = {"id": e, "length": 1.0, "dim": dim, "A": H.tolist(),
+                "steps": steps}
+        if e == 0:
+            edge["g"] = rng.standard_normal(dim).tolist()
+            edge["f"] = {"kind": "zero"}
+        else:
+            edge["f"] = {"kind": "constant",
+                         "value": (0.1 * rng.standard_normal(dim)).tolist()}
+        out.append(edge)
+    blocks = [{"from": e - 1, "to": e, "matrix": np.eye(dim).tolist()}
+              for e in range(1, edges)]
+    return {"edges": out, "blocks": blocks, "mode": "schrodinger"}
+
+
+def test_schrodinger_generators_are_exactly_skew_hermitian(tmp_path):
+    """Each generator is i (A + A*)/2, so G + G* is zero bit for bit, on the
+    wide_state document and on a complex A Hermitian to within 1e-12; the
+    report's dissipativity margins are then exactly 0."""
+    doc = wide_state_schrodinger_doc()
+    problem, mode, _ = problem_io.load_problem_dict(doc)
+    r = np.random.default_rng(12)
+    M = r.standard_normal((5, 5)) + 1j * r.standard_normal((5, 5))
+    A = 0.5 * (M + M.conj().T) + 1e-13 * (r.standard_normal((5, 5))
+                                          + 1j * r.standard_normal((5, 5)))
+    assert 0.0 < np.linalg.norm(A - A.conj().T, 2) <= 1e-12
+    nearly = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 5}),
+                              (EdgeOperator(0, A),), TransmissionOperator({}))
+    for base in (problem, nearly):
+        effective = variants.schrodinger_effective(base)
+        for e in base.graph.edges:
+            G = effective.operator(e)
+            assert np.array_equal(G + G.conj().T, np.zeros_like(G))
+            A_e = base.operator(e)
+            assert np.array_equal(G, 1j * (0.5 * (A_e + A_e.conj().T)))
+
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run_solve(str(path), str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["hypotheses"]["dissipativity_margin"] == {
+        "0": 0, "1": 0, "2": 0}
 
 
 def unitarity(base):
     """unitarity_check on base read as a Schrodinger problem, from the solve
     of its effective problem, as the CLI runs it."""
-    effective = variants.schrodinger_effective(
-        variants.SchrodingerProblem(base))
+    effective = variants.schrodinger_effective(base)
     return variants.unitarity_check(solver.solve(effective), effective)
 
 
@@ -133,8 +186,8 @@ def dense_unitarity_check(p):
     built e^{iaH}, cos(aH) and five sampled phases as dense block diagonals
     and inverted I - B E_phase itself; kept as the reference for the version
     that reads the solve's operators."""
-    gr = p.base.graph
-    eigs = {e: matfun.hermitian_eig(p.base.operator(e)) for e in gr.edges}
+    gr = p.graph
+    eigs = {e: matfun.hermitian_eig(p.operator(e)) for e in gr.edges}
     aH_cos = _blockdiag(gr, {
         e: matfun.funm_hermitian(eigs[e],
                                  lambda x, a=gr.lengths[e]: math.cos(a * x))
@@ -143,7 +196,7 @@ def dense_unitarity_check(p):
         e: matfun.funm_hermitian(eigs[e],
                                  lambda x, a=gr.lengths[e]: cmath.exp(1j * a * x))
         for e in gr.edges})
-    B = dense_B(gr, p.base.B)
+    B = dense_B(gr, p.B)
     comm = float(np.linalg.norm(B @ E_phase - E_phase @ B, 2))
     scale = max(1.0, np.linalg.norm(B, 2) * np.linalg.norm(E_phase, 2))
     if comm > variants._COMMUTATOR_TOL * scale:
@@ -220,11 +273,10 @@ def _agree(got, want):
 def test_unitarity_check_matches_the_dense_reference(d, n, kind, seed):
     base = shared_hamiltonian_problem(d, n, kind, seed)
     try:
-        want = dense_unitarity_check(variants.SchrodingerProblem(base))
+        want = dense_unitarity_check(base)
     except variants.NonCommuting:
         want = None
-    effective = variants.schrodinger_effective(
-        variants.SchrodingerProblem(base))
+    effective = variants.schrodinger_effective(base)
     try:
         report = solver.solve(effective)
     except solver.NotWellPosed:
@@ -258,8 +310,7 @@ def test_unitarity_defect_of_a_300_edge_chain_is_normed_by_lanczos(
         TransmissionOperator({(k, k - 1): [[rng.uniform(0.5, 1.0)]]
                               for k in edges[1:]}),
         {0: np.ones(1)})
-    effective = variants.schrodinger_effective(
-        variants.SchrodingerProblem(base))
+    effective = variants.schrodinger_effective(base)
     report = solver.solve(effective)
     shapes = []
 
