@@ -21,9 +21,25 @@ x[m:] += x[:-m] @ (e^{mhA})^T for m = 1, 2, 4, ..., with no power of e^{hA}
 beyond the K-th ever formed.  The reported ode residual compares the scan's
 states with one sequential step of the recurrence at every node, so it checks
 the scan's arithmetic rather than repeating it.
+
+Everything after the boundary solve runs on edge chunks: maximal runs of
+consecutive edges, in graph order, that share (dim, steps), cut so that a
+chunk's state stack, edges x (steps + 1) x dim, holds at most CHUNK_VALUES
+values.  A chunk keeps its step operators, increments, node forcing, states
+and times stacked along a leading edge axis, and the scan, the forced
+terminal values, propagation, the one-step and energy residuals, the
+boundary residual and the CSV writer each make one pass per chunk.  The
+per-edge EdgeRecurrence and EdgeSolution entries are views into those
+stacks.  Batching pays on many small edges, where per-edge numpy calls
+dominate; on a few long edges a wide stack only slows the scan's products
+down, so an edge that alone fills the budget is a chunk of one, with
+exactly the per-edge arithmetic.  Each slice of a stacked product is the
+product of that edge alone, so outputs do not depend on the chunking.
 """
 
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,6 +55,9 @@ CLASSICAL = "CLASSICAL"
 # solve, but flag the report.
 SINGULAR_RCOND = 1e-14
 ILL_CONDITIONED_RCOND = 1e-8
+# State values per edge chunk, edges x (steps + 1) x dim; an edge with more
+# is a chunk of its own (the cut-over is measured in CHANGES.md).
+CHUNK_VALUES = 2 ** 14
 
 
 class NotWellPosed(Exception):
@@ -111,6 +130,44 @@ class SolveReport:
         return np.concatenate(
             [self.solutions[e].states[0] for e in self.edge_order])
 
+    def chunks(self):
+        """The edge chunks of the solve, read from its states' shapes."""
+        return _runs(self.edge_order, [self.solutions[e].states.shape
+                                       for e in self.edge_order])
+
+
+def _runs(edges, shapes):
+    """Maximal runs of consecutive edges that share a shape, (rows,
+    columns), given per edge in order; each run is cut into pieces of as
+    many edges as fit in CHUNK_VALUES values, and at least one."""
+    runs = []
+    for (rows, cols), run in groupby(zip(edges, shapes), key=itemgetter(1)):
+        run = [e for e, _ in run]
+        size = max(1, CHUNK_VALUES // (rows * cols))
+        runs.extend(run[k:k + size] for k in range(0, len(run), size))
+    return runs
+
+
+def edge_chunks(problem):
+    """The problem's edge chunks: lists of edge ids, in graph order."""
+    gr = problem.graph
+    return _runs(gr.edges, [(problem.steps_for(e) + 1, gr.dims[e])
+                            for e in gr.edges])
+
+
+def _stacked(arrays):
+    """Equally shaped arrays stacked along a new axis 0 (one concatenate,
+    cheaper than np.stack on many small arrays); a view of a lone array, so
+    a chunk of one edge copies nothing."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
+
+
+def _mT(stack):
+    """Each matrix of the stack transposed."""
+    return stack.swapaxes(-1, -2)
+
 
 def _require_valid(problem):
     violations = validate(problem)
@@ -118,15 +175,21 @@ def _require_valid(problem):
         raise ValueError("invalid problem: " + "; ".join(violations))
 
 
-def _require_finite(problem, edges, what, *stacks):
-    """Reject overflowed stacks of per-edge matrices, naming the first
-    offending edge and its length; what(edge) says what overflowed."""
-    ok = np.ones(len(edges), dtype=bool)
-    for stack in stacks:
-        ok &= np.isfinite(stack).all(axis=(-2, -1))
-    if not ok.all():
-        e = edges[int(np.argmin(ok))]
-        raise ValueError(f"{_edge_label(problem, e)}: {what(e)} is not finite")
+def _require_finite(problem, edges, *checks):
+    """Reject overflowed per-edge stacks.  Each check is a pair (what,
+    stack): axis 0 of the stack runs over the edges, and what, a string or
+    a function of the edge, says what overflowed.  Names the first edge,
+    with its length, that has a non-finite entry in any stack, and the
+    first check that fails on it."""
+    if all(np.isfinite(stack).all() for _, stack in checks):
+        return
+    bad = np.stack([~np.isfinite(stack).reshape(len(edges), -1).all(axis=1)
+                    for _, stack in checks])
+    k = int(np.argmax(bad.any(axis=0)))
+    what = checks[int(np.argmax(bad[:, k]))][0]
+    e = edges[k]
+    raise ValueError(f"{_edge_label(problem, e)}: "
+                     f"{what(e) if callable(what) else what} is not finite")
 
 
 def _edge_label(problem, e):
@@ -150,9 +213,33 @@ def _exponents(problem, factor, what):
         scale = np.array([factor[e] for e in edges], dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             S = scale[:, None, None] * problem.operator_stack(edges)
-        _require_finite(problem, edges, what, S)
+        _require_finite(problem, edges, (what, S))
         out.append((edges, S))
     return out
+
+
+def _per_distinct(fn, S):
+    """fn(S) for a stack S of matrices, with fn evaluated on each distinct
+    matrix once and the results scattered back; fn returns a stack or a
+    tuple of stacks.  Matrices are told apart by their exact bytes:
+    np.unique would merge -0.0 with 0.0.  scipy exponentiates each matrix
+    of a stack on its own, so for expm and expm_phi12 this is fn(S) bit for
+    bit."""
+    slot = {}
+    first = []
+    inverse = []
+    for k, m in enumerate(S):
+        key = m.tobytes()
+        if key not in slot:
+            slot[key] = len(first)
+            first.append(k)
+        inverse.append(slot[key])
+    if len(first) == len(S):
+        return fn(S)
+    out = fn(S[first])
+    if isinstance(out, tuple):
+        return tuple(x[inverse] for x in out)
+    return out[inverse]
 
 
 def assemble_monodromy(problem):
@@ -161,9 +248,9 @@ def assemble_monodromy(problem):
     Each edge's diagonal slot starts as the identity, and each nonzero
     block B_ij subtracts B_ij e^{a_j A_j} from slot (i, j), so E and B E
     are never formed as n x n matrices.  The propagators of all edges of
-    one dimension come from one stacked exponential and are kept on the
-    result.  matfun.block_matrix holds M dense or sparse, and
-    matfun.factorize conditions it.
+    one dimension come from one stacked exponential, taken once per
+    distinct exponent, and are kept on the result.  matfun.block_matrix
+    holds M dense or sparse, and matfun.factorize conditions it.
     """
     _require_valid(problem)
     gr = problem.graph
@@ -172,9 +259,9 @@ def assemble_monodromy(problem):
     for edges, tA in _exponents(problem, gr.lengths,
                                 lambda e: "the exponent length A"):
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = matfun.expm(tA)
-        _require_finite(problem, edges, lambda e: "the propagator "
-                        "e^(length A)", blocks)
+            blocks = _per_distinct(matfun.expm, tA)
+        _require_finite(problem, edges,
+                        ("the propagator e^(length A)", blocks))
         propagators.update(zip(edges, blocks))
     slots = {(e, e): np.eye(gr.dims[e]) for e in gr.edges}
     for (i, j), m in problem.B.blocks.items():
@@ -203,50 +290,71 @@ class EdgeRecurrence:
 
 def edge_recurrences(problem):
     """Step operator, increments and node forcing per edge: edge id ->
-    EdgeRecurrence.
+    EdgeRecurrence, each entry a view into its chunk's stacks.
 
     The (e^{hA}, phi1(hA), phi2(hA)) triples of all edges of one dimension
-    come from one stacked augmented exponential.  The forcing is sampled
-    here, once per edge and solve, and every later consumer reads it.
+    come from one stacked augmented exponential, taken once per distinct
+    hA.  The forcing is sampled here, once per edge and solve, and every
+    later consumer reads it.  A chunk's increments come from one stacked
+    product.
     """
     gr = problem.graph
     h = {e: float(gr.lengths[e]) / problem.steps_for(e) for e in gr.edges}
-    out = {}
+
+    def step(e):
+        return f"a step operator for h = {h[e]!r}"
+
+    triples = {}  # edge -> (dim group's stacked triple, index in the group)
     for edges, hA in _exponents(problem, h, lambda e: f"the exponent h A "
                                 f"for h = {h[e]!r}"):
         with np.errstate(over="ignore", invalid="ignore"):
-            Eh, P1, P2 = matfun.expm_phi12(hA)
-        _require_finite(problem, edges, lambda e: f"a step operator for "
-                        f"h = {h[e]!r}", Eh, P1, P2)
-        for e, Eh_e, P1_e, P2_e in zip(edges, Eh, P1, P2):
-            f = forcing_node_values(problem, e)
-            with np.errstate(over="ignore", invalid="ignore"):
-                b = (f[:-1] @ (h[e] * P1_e).T
-                     + (f[1:] - f[:-1]) @ (h[e] * P2_e).T)
-            out[e] = EdgeRecurrence(Eh_e, _finite(
-                problem, e, f"the forcing increment for h = {h[e]!r}", b), f)
-    return {e: out[e] for e in gr.edges}
+            triple = _per_distinct(matfun.expm_phi12, hA)
+        _require_finite(problem, edges, *((step, x) for x in triple))
+        triples.update((e, (triple, k)) for k, e in enumerate(edges))
+    out = {}
+    for chunk in edge_chunks(problem):
+        # a chunk is a run of consecutive edges of its dim group
+        triple, k = triples[chunk[0]]
+        Eh, P1, P2 = (x[k:k + len(chunk)] for x in triple)
+        hs = np.array([h[e] for e in chunk])[:, None, None]
+        f = _stacked([forcing_node_values(problem, e) for e in chunk])
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = (f[:, :-1] @ _mT(hs * P1)
+                 + (f[:, 1:] - f[:, :-1]) @ _mT(hs * P2))
+        _require_finite(problem, chunk, (lambda e: f"the forcing increment "
+                                         f"for h = {h[e]!r}", b))
+        out.update((e, EdgeRecurrence(*x))
+                   for e, x in zip(chunk, zip(Eh, b, f)))
+    return out
 
 
-def _scan(rec, start):
-    """States x[0] = start, x[k+1] = Eh x[k] + b[k] by a Hillis-Steele scan.
+def _scan(Eh, b, start):
+    """States of a chunk of edges, x[:, 0] = start and
+    x[:, k+1] = Eh x[:, k] + b[:, k], by a Hillis-Steele scan whose rounds
+    run over every edge of the chunk at once.
 
-    After the round with offset m, row k holds the sum over the last 2m
+    Eh is (E, d, d), b (E, K, d) and start broadcasts to (E, d).  After the
+    round with offset m, row k of each edge holds the sum over the last 2m
     inputs of e^{(k-j)hA} y[j], where y = (start, b[0], ..., b[K-1]).
     """
-    Eh, b = rec.Eh, rec.b
-    K = len(b)
-    x = np.empty((K + 1, Eh.shape[0]), dtype=complex)
-    x[0] = start
-    x[1:] = b
+    E, K, d = b.shape
+    x = np.empty((E, K + 1, d), dtype=complex)
+    x[:, 0] = start
+    x[:, 1:] = b
     power = Eh
     m = 1
     while m <= K:
-        x[m:] += x[:-m] @ power.T
+        x[:, m:] += x[:, :-m] @ _mT(power)
         m *= 2
         if m <= K:
             power = power @ power
     return x
+
+
+def _chunk_recurrence(recurrences, chunk):
+    """The chunk's stacked step operators and increments."""
+    return (_stacked([recurrences[e].Eh for e in chunk]),
+            _stacked([recurrences[e].b for e in chunk]))
 
 
 def forced_terminal_integrals(problem, recurrences):
@@ -254,14 +362,15 @@ def forced_terminal_integrals(problem, recurrences):
 
     Componentwise this is the convolution of the edge propagator with the
     forcing over the whole edge, evaluated by the exact recurrences (from
-    edge_recurrences) that the propagation uses.
+    edge_recurrences) that the propagation uses, one scan per chunk.
     """
     _require_valid(problem)
-    gr = problem.graph
+    F = []
     with np.errstate(over="ignore", invalid="ignore"):
-        F = [_finite(problem, e, "the forced terminal value",
-                     _scan(recurrences[e], np.zeros(gr.dims[e]))[-1])
-             for e in gr.edges]
+        for chunk in edge_chunks(problem):
+            x = _scan(*_chunk_recurrence(recurrences, chunk), 0.0)[:, -1]
+            _require_finite(problem, chunk, ("the forced terminal value", x))
+            F.append(x.reshape(-1))
     return np.concatenate(F)
 
 
@@ -307,45 +416,53 @@ def solve_boundary(problem, mono, F):
 
 
 def _composite_simpson(values, h):
-    """Composite Simpson on uniform nodes; odd interval counts end with the
-    3/8 rule so the order stays four.  A single interval falls back to the
-    trapezoid."""
-    n = len(values) - 1
-    if n <= 0:
-        return 0.0
+    """Composite Simpson along each row of values, (E, K + 1) samples on
+    uniform nodes of spacing h (a scalar or one per row); odd interval
+    counts end with the 3/8 rule so the order stays four.  A single
+    interval falls back to the trapezoid."""
+    n = values.shape[1] - 1
     if n == 1:
-        return h * 0.5 * (values[0] + values[1])
+        return h * 0.5 * (values[:, 0] + values[:, 1])
     stop = n if n % 2 == 0 else n - 3
-    total = h / 3.0 * (np.sum(values[0:stop:2])
-                       + 4.0 * np.sum(values[1:stop:2])
-                       + np.sum(values[2:stop + 1:2]))
+    total = h / 3.0 * (np.sum(values[:, 0:stop:2], axis=1)
+                       + 4.0 * np.sum(values[:, 1:stop:2], axis=1)
+                       + np.sum(values[:, 2:stop + 1:2], axis=1))
     if stop != n:
-        total += 3.0 * h / 8.0 * (values[n - 3] + 3.0 * values[n - 2]
-                                  + 3.0 * values[n - 1] + values[n])
+        total += 3.0 * h / 8.0 * (values[:, n - 3] + 3.0 * values[:, n - 2]
+                                  + 3.0 * values[:, n - 1] + values[:, n])
     return total
+
+
+def _chunk_states(solutions, chunk):
+    """The chunk's stacked states."""
+    return _stacked([solutions[e].states for e in chunk])
 
 
 def energy_defect_of(problem, solutions, recurrences):
     """|Re<psi', psi> - (||psi_+||^2 - ||psi_-||^2)/2| with psi' = A psi + f
     at the nodes (f from the solve's recurrences) and composite Simpson
-    along each edge; a term that overflows raises ValueError (_finite)."""
+    along each edge, one pass per chunk; the edges' terms are summed in
+    graph order.  A term that overflows raises ValueError naming its
+    edge."""
     inner = 0.0
     plus_sq = 0.0
     minus_sq = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for e in problem.graph.edges:
-            sol = solutions[e]
-            A = problem.operator(e)
-            deriv = sol.states @ A.T + recurrences[e].f
-            values = np.real(np.sum(np.conj(sol.states) * deriv, axis=1))
-            h = sol.times[1] - sol.times[0] if len(sol.times) > 1 else 0.0
-            integral = _composite_simpson(values, h)
-            plus = float(np.sum(np.abs(sol.states[-1]) ** 2))
-            minus = float(np.sum(np.abs(sol.states[0]) ** 2))
-            _finite(problem, e, "an energy term", (integral, plus, minus))
-            inner += integral
-            plus_sq += plus
-            minus_sq += minus
+        for chunk in edge_chunks(problem):
+            X = _chunk_states(solutions, chunk)
+            times = _stacked([solutions[e].times for e in chunk])
+            deriv = (X @ _mT(problem.operator_stack(chunk))
+                     + _stacked([recurrences[e].f for e in chunk]))
+            values = np.real(np.sum(np.conj(X) * deriv, axis=-1))
+            terms = np.stack([
+                _composite_simpson(values, times[:, 1] - times[:, 0]),
+                np.sum(np.abs(X[:, -1]) ** 2, axis=-1),
+                np.sum(np.abs(X[:, 0]) ** 2, axis=-1)], axis=-1)
+            _require_finite(problem, chunk, ("an energy term", terms))
+            for integral, plus, minus in terms.tolist():
+                inner += integral
+                plus_sq += plus
+                minus_sq += minus
         return _finite(problem, None, "the energy defect",
                        abs(inner - 0.5 * (plus_sq - minus_sq)))
 
@@ -358,21 +475,25 @@ def _one_step_defect(problem, solutions, recurrences):
     or powers shows up here.
     """
     worst = 0.0
-    for e, sol in solutions.items():
-        rec = recurrences[e]
-        X = sol.states
-        defect = _finite(problem, e, "the one-step defect", np.linalg.norm(
-            X[1:] - (X[:-1] @ rec.Eh.T + rec.b), axis=1))
-        scale = _finite(problem, e, "the step defect's scale 1 + ||x[k]||",
-                        1.0 + np.linalg.norm(X[:-1], axis=1))
+    for chunk in edge_chunks(problem):
+        X = _chunk_states(solutions, chunk)
+        Eh, b = _chunk_recurrence(recurrences, chunk)
+        defect = np.linalg.norm(X[:, 1:] - (X[:, :-1] @ _mT(Eh) + b),
+                                axis=-1)
+        scale = 1.0 + np.linalg.norm(X[:, :-1], axis=-1)
+        _require_finite(problem, chunk, ("the one-step defect", defect),
+                        ("the step defect's scale 1 + ||x[k]||", scale))
         worst = max(worst, float(np.max(defect / scale)))
     return worst
 
 
 def _boundary_residual(problem, solutions):
     gr = problem.graph
-    minus = np.concatenate([solutions[e].states[0] for e in gr.edges])
-    plus = np.concatenate([solutions[e].states[-1] for e in gr.edges])
+    # (E, 2, d) per chunk: each edge's first and last state
+    ends = [_chunk_states(solutions, chunk)[:, [0, -1]]
+            for chunk in edge_chunks(problem)]
+    minus = np.concatenate([x[:, 0].reshape(-1) for x in ends])
+    plus = np.concatenate([x[:, 1].reshape(-1) for x in ends])
     g = stack_edge_values(gr, problem.g)
     residual = _finite(problem, None, "the boundary residual", np.linalg.norm(
         minus - problem.B.apply(gr, plus) - g))
@@ -393,8 +514,9 @@ def _commutator_norm(problem):
 
 def propagate(problem, c, mono, recurrences):
     """Integrate every edge from the given stacked initial values with the
-    solve's recurrences and attach residual diagnostics; a state or
-    residual term that overflows raises ValueError naming it (_finite)."""
+    solve's recurrences, one scan per chunk, and attach residual
+    diagnostics; a state or residual term that overflows raises ValueError
+    naming it."""
     _require_valid(problem)
     gr = problem.graph
     off = gr.offsets()
@@ -404,10 +526,16 @@ def propagate(problem, c, mono, recurrences):
 
     solutions = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for e in gr.edges:
-            states = _scan(recurrences[e], c[off[e]:off[e] + gr.dims[e]])
-            solutions[e] = EdgeSolution(e, problem.times(e), _finite(
-                problem, e, "a propagated state", states))
+        for chunk in edge_chunks(problem):
+            start = off[chunk[0]]
+            states = _scan(*_chunk_recurrence(recurrences, chunk),
+                           c[start:start + len(chunk) * gr.dims[chunk[0]]]
+                           .reshape(len(chunk), -1))
+            _require_finite(problem, chunk, ("a propagated state", states))
+            times = np.linspace(0.0, [float(gr.lengths[e]) for e in chunk],
+                                problem.steps_for(chunk[0]) + 1, axis=-1)
+            solutions.update((e, EdgeSolution(e, t, x))
+                             for e, t, x in zip(chunk, times, states))
         return SolveReport(
             solutions=solutions,
             edge_order=tuple(gr.edges),

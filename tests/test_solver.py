@@ -294,15 +294,19 @@ def test_overflowing_step_exponent_names_the_edge():
 
 
 def test_composite_simpson_quadrature():
+    # one row per interval, [0, 1] and [0, 2], each with its own spacing
     f = lambda x: x ** 3 - 2.0 * x
-    exact = 1.0 / 4.0 - 1.0  # integral over [0, 1]
+    exact = [1.0 / 4.0 - 1.0, 4.0 - 4.0]
     for n in (2, 3, 5, 8, 9):
         xs = np.linspace(0.0, 1.0, n + 1)
-        got = solver._composite_simpson(f(xs), 1.0 / n)
-        assert abs(got - exact) <= 1e-14  # degree-3 exactness
+        got = solver._composite_simpson(np.stack([f(xs), f(2.0 * xs)]),
+                                        np.array([1.0, 2.0]) / n)
+        assert np.max(np.abs(got - exact)) <= 1e-14  # degree-3 exactness
     xs = np.linspace(0.0, 1.0, 2)
-    assert abs(solver._composite_simpson(f(xs), 1.0)
-               - 0.5 * (f(0.0) + f(1.0))) <= 1e-15
+    got = solver._composite_simpson(np.stack([f(xs), f(2.0 * xs)]),
+                                    np.array([1.0, 2.0]))
+    assert np.max(np.abs(got - [0.5 * (f(0.0) + f(1.0)),
+                                f(0.0) + f(2.0)])) <= 1e-15
 
 
 def test_energy_defect_small_on_presets():
