@@ -1,9 +1,13 @@
 """Problem-file parsing and deterministic output serialization.
 
-Problems travel as JSON documents (schema shipped alongside this module);
-trajectories leave as CSV.  All numeric output is decimal with 17 significant
-digits, dictionary keys are emitted sorted, and files are written atomically,
-so emitted documents are byte-stable under a load/emit round trip.
+Problems travel as JSON documents; trajectories leave as CSV. A document is
+checked in three layers, each rule in one place: the schema shipped
+alongside this module checks the top level (edges, blocks, mode, options),
+the skeleton pass (_skeleton) checks each edge and block object, and
+_numbers checks the numeric arrays as they are converted. All numeric
+output is decimal with 17 significant digits, dictionary keys are emitted
+sorted, and files are written atomically, so emitted documents are
+byte-stable under a load/emit round trip.
 """
 
 import functools
@@ -34,7 +38,7 @@ class ProblemFileError(Exception):
 
 @functools.cache
 def _validator():
-    """Validator for the shipped skeleton schema, checked once per process."""
+    """Validator for the shipped top-level schema, checked once per process."""
     schema = json.loads(resources.files("chronograph")
                         .joinpath("problem.schema.json")
                         .read_text(encoding="utf-8"))
@@ -47,7 +51,7 @@ class _Prechecked:
     """Validator-class stand-in that makes jsonschema.validate reuse _validator().
 
     jsonschema.validate(doc, schema, cls) runs cls.check_schema(schema), a
-    metaschema check costing far more than validating a document skeleton,
+    metaschema check costing far more than validating a document's top level,
     and builds cls(schema) on every call. The cached validator's schema was
     checked when it was built, so both steps reduce to a lookup.
     """
@@ -65,6 +69,108 @@ def _is_number(kind):
     return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
 
+def _is_integer(value):
+    # the JSON schema "integer" type: 1.0 is one, True is not
+    return ((isinstance(value, int) and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer()))
+
+
+# The skeleton rules of the edge and block objects. A field rule returns
+# the message for a value that breaks it, worded as jsonschema words the
+# keyword it stands for, or None; a type fault is reported instead of a
+# bound, as in jsonschema. An object is (field rules, required keys).
+
+def _id(value):  # {"type": ["string", "integer"]}
+    if not (isinstance(value, str) or _is_integer(value)):
+        return f"{value!r} is not of type 'string', 'integer'"
+
+
+def _count(value):  # {"type": "integer", "minimum": 1}
+    if not _is_integer(value):
+        return f"{value!r} is not of type 'integer'"
+    if value < 1:
+        return f"{value!r} is less than the minimum of 1"
+
+
+def _length(value):  # {"type": "number", "exclusiveMinimum": 0}
+    if not _is_number(type(value)):
+        return f"{value!r} is not of type 'number'"
+    if value <= 0:
+        return f"{value!r} is less than or equal to the minimum of 0"
+
+
+def _list(value):  # {"type": "array"}
+    if not isinstance(value, list):
+        return f"{value!r} is not of type 'array'"
+
+
+def _nonempty_list(value):  # {"type": "array", "minItems": 1}
+    if not isinstance(value, list):
+        return f"{value!r} is not of type 'array'"
+    if not value:
+        return f"{value!r} should be non-empty"
+
+
+_KINDS = ("zero", "constant", "samples")
+
+
+def _kind(value):  # {"enum": _KINDS}
+    if not (isinstance(value, str) and value in _KINDS):
+        return f"{value!r} is not one of {list(_KINDS)!r}"
+
+
+_FORCING = ({"kind": _kind, "value": _list}, ("kind",))
+_EDGE = ({"id": _id, "length": _length, "dim": _count, "A": _nonempty_list,
+          "f": _FORCING, "g": _nonempty_list, "steps": _count},
+         ("id", "length", "dim", "A"))
+_BLOCK = ({"from": _id, "to": _id, "matrix": _nonempty_list},
+          ("from", "to", "matrix"))
+
+
+def _object(value, path, spec, faults):
+    """Append (path, message) for each fault of one object: its type, each
+    missing key, its unknown keys, then each field's rule."""
+    fields, required = spec
+    if not isinstance(value, dict):
+        faults.append((path, f"{value!r} is not of type 'object'"))
+        return
+    for key in required:
+        if key not in value:
+            faults.append((path, f"{key!r} is a required property"))
+    extra = value.keys() - fields.keys()
+    if extra:
+        names = ", ".join(map(repr, sorted(extra, key=str)))
+        verb = "was" if len(extra) == 1 else "were"
+        faults.append((path, "Additional properties are not allowed "
+                             f"({names} {verb} unexpected)"))
+    for key, item in value.items():
+        rule = fields.get(key)
+        if type(rule) is tuple:
+            _object(item, path + (key,), rule, faults)
+        elif rule is not None:
+            message = rule(item)
+            if message is not None:
+                faults.append((path + (key,), message))
+
+
+def _skeleton(doc):
+    """Check each edge and block object of a document whose top level the
+    schema has passed; raise ProblemFileError with one message.
+
+    Of several faults the message names the one jsonschema's best_match
+    would: the shallowest path, then the greatest path, then the first
+    found at that path (type, missing keys, unknown keys).
+    """
+    faults = []
+    for k, e in enumerate(doc["edges"]):
+        _object(e, ("edges", k), _EDGE, faults)
+    for k, b in enumerate(doc.get("blocks", [])):
+        _object(b, ("blocks", k), _BLOCK, faults)
+    if faults:
+        path, message = max(faults, key=lambda f: (-len(f[0]), f[0]))
+        raise ProblemFileError([f"{'/'.join(map(str, path))}: {message}"])
+
+
 def _first(items, pred):
     return next(k for k, x in enumerate(items) if pred(x))
 
@@ -72,7 +178,7 @@ def _first(items, pred):
 def _numbers(value, path, errors, rows_ok=True):
     """Float array of a JSON number list, or None after appending errors.
 
-    The skeleton schema promises only a list. Its entries must all be
+    The skeleton pass promises only a list. Its entries must all be
     numbers or, when rows_ok, all rows (lists) of one non-zero length whose
     entries are numbers; every number must be finite. Each message names
     the JSON path of the offending entry or row.
@@ -117,40 +223,44 @@ def _numbers(value, path, errors, rows_ok=True):
 
 
 def _edge_id(value):
-    """An edge id as the outputs write it.  The schema's "integer" type
+    """An edge id as the outputs write it.  The JSON schema "integer" type
     admits floats with zero fraction (1.0); they become ints, so one id has
     one text form in every output."""
     return int(value) if isinstance(value, float) else value
 
 
 def _matrix(value, rows, cols, where, errors):
+    """rows x cols float array of a JSON matrix (rows or one flat list), or
+    None after appending errors."""
     arr = _numbers(value, where, errors)
     if arr is None:
-        return np.zeros((rows, cols))
+        return None
     if arr.ndim == 1:
         if arr.size != rows * cols:
             errors.append(f"{where}: flat matrix length {arr.size} != {rows * cols}")
-            return np.zeros((rows, cols))
+            return None
         return arr.reshape(rows, cols)
     if arr.shape != (rows, cols):
         errors.append(f"{where}: shape {arr.shape} != ({rows}, {cols})")
-        return np.zeros((rows, cols))
+        return None
     return arr
 
 
 def load_problem_dict(doc):
     """Build (problem, mode, options) from a parsed problem document.
 
-    The schema checks the document skeleton; the numeric arrays are checked
-    here as they are converted. Raises ProblemFileError with every collected
-    message when the document is structurally invalid or fails the model's
-    own validation.
+    The schema checks the top level, _skeleton each edge and block object,
+    and _numbers each numeric array as it is converted. A fault of the top
+    level or of an edge or block object raises ProblemFileError alone; the
+    array faults and the model's own validation raise with every collected
+    message.
     """
     try:
         jsonschema.validate(doc, _validator().schema, cls=_Prechecked)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "document"
         raise ProblemFileError([f"{path}: {exc.message}"]) from exc
+    _skeleton(doc)
 
     errors = []
     edges = []
@@ -181,8 +291,9 @@ def load_problem_dict(doc):
         d = int(e["dim"])
         dims[eid] = d
         steps[eid] = int(e.get("steps", DEFAULT_STEPS))
-        operators.append(EdgeOperator(
-            eid, _matrix(e["A"], d, d, f"{where}/A", errors)))
+        A = _matrix(e["A"], d, d, f"{where}/A", errors)
+        if A is not None:
+            operators.append(EdgeOperator(eid, A))
         if "g" in e:
             vec = _numbers(e["g"], f"{where}/g", errors, rows_ok=False)
             if vec is None:
@@ -229,8 +340,10 @@ def load_problem_dict(doc):
                           f"already given as blocks/{first[(i, j)]}")
             continue
         first[(i, j)] = k
-        blocks[(i, j)] = _matrix(b["matrix"], dims[i], dims[j],
-                                 f"blocks/{k}/matrix", errors)
+        m = _matrix(b["matrix"], dims[i], dims[j], f"blocks/{k}/matrix",
+                    errors)
+        if m is not None:
+            blocks[(i, j)] = m
     if errors:
         raise ProblemFileError(errors)
 

@@ -82,16 +82,23 @@ def test_load_accepts_flat_matrices():
 def test_load_rejects_schema_violations():
     doc = json.loads(json.dumps(MINIMAL))
     del doc["edges"][0]["dim"]
-    with pytest.raises(ProblemFileError):
+    with pytest.raises(ProblemFileError) as err:
         load_problem_dict(doc)
+    assert err.value.messages == ["edges/0: 'dim' is a required property"]
     doc = json.loads(json.dumps(MINIMAL))
     doc["edges"][0]["f"] = {"kind": "sinusoid"}
-    with pytest.raises(ProblemFileError):
+    with pytest.raises(ProblemFileError) as err:
         load_problem_dict(doc)
+    assert err.value.messages == [
+        "edges/0/f/kind: 'sinusoid' is not one of "
+        "['zero', 'constant', 'samples']"]
     doc = json.loads(json.dumps(MINIMAL))
     doc["unexpected"] = 1
-    with pytest.raises(ProblemFileError):
+    with pytest.raises(ProblemFileError) as err:
         load_problem_dict(doc)
+    assert err.value.messages == [
+        "document: Additional properties are not allowed "
+        "('unexpected' was unexpected)"]
 
 
 def test_load_collects_multiple_messages():

@@ -1,11 +1,13 @@
-"""Numeric-array checks of the problem loader.
+"""Skeleton and numeric-array checks of the problem loader.
 
-The shipped schema covers the document skeleton only; the loader checks the
-numeric arrays itself. The differential tests hold it to the full per-entry
-schema the project shipped before (problem.full.schema.json, kept here as
-the oracle) plus the shape rules the loader always applied, and to four
-rules the full schema could not state: no ragged arrays, no non-finite
-numbers, no duplicate blocks, no value on a zero forcing.
+The shipped schema covers the document's top level only; the loader checks
+each edge and block object and the numeric arrays itself. The differential
+tests hold it to the full per-entry schema the project shipped before
+(problem.full.schema.json, kept here as the oracle) plus the shape and
+edge-id rules the loader always applied, and to four rules the full schema
+could not state: no ragged arrays, no non-finite numbers, no duplicate
+blocks, no value on a zero forcing. A fault of the skeleton is worded as
+the oracle's best_match words it.
 """
 
 import contextlib
@@ -13,9 +15,12 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import jsonschema
+from jsonschema.exceptions import best_match
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,11 +77,20 @@ def _leaves(value):
         yield value
 
 
+def _read_id(value):
+    """An edge id as the loader reads it: an integral float is its int."""
+    return int(value) if isinstance(value, float) else value
+
+
 def expected_rejection(doc):
-    """Verdict of the full schema, the shape rules and the four new rules."""
+    """Verdict of the full schema, the shape and id rules and the four new
+    rules."""
     if not ORACLE.is_valid(doc):
         return True
-    dims = {e["id"]: e["dim"] for e in doc["edges"]}
+    ids = [_read_id(e["id"]) for e in doc["edges"]]
+    if len({str(i) for i in ids}) < len(ids):  # one text form per id
+        return True
+    dims = dict(zip(ids, (e["dim"] for e in doc["edges"])))
     checks = []  # (array, shapes it may have)
     for e in doc["edges"]:
         d = e["dim"]
@@ -96,12 +110,12 @@ def expected_rejection(doc):
         checks.append((f.get("value", []), allowed[f["kind"]]))
     seen = set()
     for b in doc.get("blocks", []):
-        key = (b["to"], b["from"])
-        if key in seen:
+        to, fro = key = (_read_id(b["to"]), _read_id(b["from"]))
+        if not {to, fro} <= dims.keys() or key in seen:
             return True
         seen.add(key)
-        checks.append((b["matrix"], {(dims[b["to"]] * dims[b["from"]],),
-                                     (dims[b["to"]], dims[b["from"]])}))
+        checks.append((b["matrix"], {(dims[to] * dims[fro],),
+                                     (dims[to], dims[fro])}))
     for value, shapes in checks:
         shape = _shape(value)
         if shape is None or not all(map(math.isfinite, _leaves(value))):
@@ -146,12 +160,103 @@ ROW_MUTATIONS = {
 }
 
 
+SCALAR_MUTATIONS = {
+    "bool": lambda: True,
+    "str": lambda: "1",
+    "null": lambda: None,
+    "fraction": lambda: 1.5,
+    "zero": lambda: 0,
+    "negative": lambda: -1,
+    "huge": lambda: 1e20,
+    "list": lambda: [1],
+    "object": lambda: {},
+}
+NOT_LISTS = {
+    "bool": lambda: True,
+    "str": lambda: "1",
+    "null": lambda: None,
+    "number": lambda: 1.0,
+    "object": lambda: {},
+}
+DELETE = object()
+INTEGRAL_FIELDS = {"id", "from", "to", "dim", "steps"}
+
+
+def _skeleton_mutations(doc):
+    """{site: [(path, make value)]} of the one-fault mutations of the
+    skeleton; a value of DELETE removes the key."""
+    objects = [((), ("edges",))]  # (path, required keys)
+    scalars = [("mode",), ("options",)]
+    for k, e in enumerate(doc["edges"]):
+        objects.append((("edges", k), ("id", "length", "dim", "A")))
+        scalars.extend(("edges", k, key)
+                       for key in ("id", "length", "dim", "steps"))
+        if "f" in e:
+            objects.append((("edges", k, "f"), ("kind",)))
+            scalars.append(("edges", k, "f", "kind"))
+    for k in range(len(doc.get("blocks", []))):
+        objects.append((("blocks", k), ("from", "to", "matrix")))
+        scalars.extend([("blocks", k, "from"), ("blocks", k, "to")])
+    arrays = [("edges", k, key) for k, e in enumerate(doc["edges"])
+              for key in ("A", "g") if key in e]
+    arrays += [("edges", k, "f", "value") for k, e in enumerate(doc["edges"])
+               if "value" in e.get("f", {})]
+    arrays += [("blocks", k, "matrix")
+               for k in range(len(doc.get("blocks", [])))]
+    return {
+        "scalar": [(path, make) for path in scalars
+                   for make in SCALAR_MUTATIONS.values()],
+        "missing": [(path + (key,), lambda: DELETE)
+                    for path, required in objects for key in required],
+        "unknown": [(path + ("x",), lambda: 1) for path, _ in objects],
+        "not_list": [(path, make) for path in arrays
+                     for make in NOT_LISTS.values()],
+        "empty": [(path, list) for path in arrays if path[-1] != "value"],
+        "not_object": [(path, make) for path, _ in objects[1:]
+                       for make in (lambda: 1, lambda: "1", lambda: None,
+                                    list)],
+    }
+
+
+def _mutate(doc, path, value):
+    """A copy of doc with the value at path replaced (or deleted)."""
+    doc = json.loads(json.dumps(doc))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    if value is DELETE:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+    return doc
+
+
+def _read_as(path, value):
+    """The value the loader reads at path: integral fields read an
+    integral float as its int."""
+    if (path[-1] in INTEGRAL_FIELDS and isinstance(value, float)
+            and value.is_integer()):
+        return int(value)
+    return value
+
+
+SKELETON_SITES = ("scalar", "missing", "unknown", "not_list", "empty",
+                  "not_object")
+
+
 @st.composite
 def mutated(draw):
+    """(mutated document, the document whose values it must load to when
+    the loader accepts it)."""
     sid = draw(st.sampled_from(sorted(BASE)))
     doc = json.loads(BASE[sid])
     site = draw(st.sampled_from(["entry", "row", "length", "duplicate",
-                                 "zero"]))
+                                 "zero", *SKELETON_SITES]))
+    if site in SKELETON_SITES:
+        path, make = draw(st.sampled_from(_skeleton_mutations(doc)[site]))
+        value = make()
+        return (_mutate(doc, path, value),
+                _mutate(doc, path, _read_as(path, value)))
     if site == "duplicate" and doc.get("blocks"):
         doc["blocks"].append(dict(draw(st.sampled_from(doc["blocks"]))))
     elif site == "length":
@@ -165,7 +270,7 @@ def mutated(draw):
     else:
         owner, key = draw(st.sampled_from(_arrays(doc)))
         _mutate_array(draw, owner[key], site)
-    return sid, doc
+    return doc, json.loads(BASE[sid])
 
 
 def _mutate_array(draw, array, site):
@@ -187,10 +292,10 @@ def _emitted(doc):
     return canonical_json(problem_to_dict(problem, mode, options))
 
 
-@settings(max_examples=300)
+@settings(max_examples=600)
 @given(mutated())
 def test_loader_rejects_exactly_what_the_oracle_rejects(case):
-    sid, doc = case
+    doc, expected = case
     try:
         emitted = _emitted(doc)
     except ProblemFileError as exc:
@@ -198,14 +303,49 @@ def test_loader_rejects_exactly_what_the_oracle_rejects(case):
         assert exc.messages and all(": " in m for m in exc.messages)
         return
     assert not expected_rejection(doc)
-    # every mutation the loader accepts keeps the values
-    assert emitted == _emitted(json.loads(BASE[sid]))
+    # every mutation the loader accepts keeps the values it was given
+    assert emitted == _emitted(expected)
+
+
+# The oracle's matrix is an anyOf of a flat and a nested list, which words a
+# non-list or empty A or matrix as "... is not valid under any of the given
+# schemas". The loader names the fault itself, as this schema words it.
+MATRIX_SKELETON = jsonschema.Draft202012Validator(
+    {"type": "array", "minItems": 1})
+
+
+def _message(error, path=None):
+    path = error.absolute_path if path is None else path
+    return f"{'/'.join(map(str, path)) or 'document'}: {error.message}"
+
+
+@pytest.mark.parametrize("sid", sorted(BASE))
+def test_skeleton_messages_are_the_oracles(sid):
+    base = json.loads(BASE[sid])
+    checked = 0
+    for mutations in _skeleton_mutations(base).values():
+        for path, make in mutations:
+            value = make()
+            doc = _mutate(base, path, value)
+            errors = list(ORACLE.iter_errors(doc))
+            if not errors:
+                continue
+            if path[-1] in ("A", "matrix") and value is not DELETE:
+                want = _message(best_match(MATRIX_SKELETON.iter_errors(value)),
+                                path)
+            else:
+                want = _message(best_match(errors))
+            with pytest.raises(ProblemFileError) as err:
+                load_problem_dict(doc)
+            assert err.value.messages == [want]
+            checked += 1
+    assert checked > 0
 
 
 @settings(max_examples=60)
 @given(mutated())
 def test_cli_solve_of_mutated_documents_ends_in_an_exit_code(case):
-    _, doc = case
+    doc, _ = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -235,6 +375,34 @@ def _messages(doc):
     with pytest.raises(ProblemFileError) as err:
         load_problem_dict(doc)
     return err.value.messages
+
+
+@pytest.mark.parametrize("faults, message", [
+    ([(("edges", 0, "dim"), 0), (("edges", 1, "dim"), 0)],
+     "edges/1/dim: 0 is less than the minimum of 1"),
+    ([(("edges", 0, "z"), 1), (("edges", 0, "b"), 1),
+      (("edges", 0, "dim"), DELETE)],
+     "edges/0: 'dim' is a required property"),
+    ([(("edges", 0, "z"), 1), (("edges", 0, "b"), 1)],
+     "edges/0: Additional properties are not allowed ('b', 'z' were "
+     "unexpected)"),
+    ([(("edges", 0, "length"), -1), (("edges", 0, "f", "kind"), "x")],
+     "edges/0/length: -1 is less than or equal to the minimum of 0"),
+    ([(("blocks", 0, "to"), None), (("edges", 1, "id"), 1.5)],
+     "edges/1/id: 1.5 is not of type 'string', 'integer'"),
+    ([(("edges", 1, "id"), DELETE), (("edges", 1, "length"), DELETE)],
+     "edges/1: 'id' is a required property"),
+    ([(("edges", 0, "dim"), True), (("edges", 0, "steps"), 0.5)],
+     "edges/0/steps: 0.5 is not of type 'integer'"),
+], ids=["greatest-path", "required-first", "extras-sorted", "shallowest",
+        "edges-after-blocks", "first-required", "same-depth-keys"])
+def test_of_several_skeleton_faults_the_oracles_best_match_is_named(
+        faults, message):
+    doc = _two_edge_doc()
+    for path, value in faults:
+        doc = _mutate(doc, path, value)
+    assert _message(best_match(ORACLE.iter_errors(doc))) == message
+    assert _messages(doc) == [message]
 
 
 def test_ragged_matrix_is_rejected_with_its_path():
@@ -317,3 +485,21 @@ def test_integers_beyond_float_range_are_rejected():
     doc["edges"][1]["length"] = 10 ** 400
     assert _messages(doc) == ["edges/0/g: a number is out of float range",
                               "edges/1/length: inf is not finite"]
+
+
+@pytest.mark.parametrize("dim", [10 ** 12, 1e20], ids=["1e12", "float-1e20"])
+def test_dim_that_disagrees_with_A_is_named_at_A(tmp_path, dim):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(
+        {"edges": [{"id": 0, "length": 1.0, "dim": dim, "A": [[-1.0]]}]}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(
+        [sys.executable, "-m", "chronograph", "solve", str(path),
+         "--out", str(tmp_path)], capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    d = int(dim)
+    assert run.stderr.splitlines() == [
+        f"error: edges/0/A: shape (1, 1) != ({d}, {d})"]
