@@ -4,7 +4,10 @@ Problems travel as JSON documents; trajectories leave as CSV. A document is
 checked in three layers, each rule in one place: the schema shipped
 alongside this module checks the top level (edges, blocks, mode, options),
 the skeleton pass (_skeleton) checks each edge and block object, and
-_numbers checks the numeric arrays as they are converted. All numeric
+_floats checks the numeric arrays as they are converted. The arrays are
+converted one group of equal target shape at a time (_batched), by one
+_floats call per group; only an array its group refuses is re-read on its
+own by _matrix or _numbers, for the message that names it. All numeric
 output is decimal with 17 significant digits, dictionary keys are emitted
 sorted, and files are written atomically, so emitted documents are
 byte-stable under a load/emit round trip.
@@ -17,7 +20,8 @@ import numbers
 import os
 import tempfile
 from importlib import resources
-from itertools import chain
+from json.encoder import encode_basestring as _quote
+from operator import itemgetter
 
 import jsonschema
 import numpy as np
@@ -175,6 +179,33 @@ def _first(items, pred):
     return next(k for k, x in enumerate(items) if pred(x))
 
 
+def _flat(values, nested):
+    """The entries of a list of numeric lists, rows (nested) or flat, in
+    order."""
+    if nested:
+        return [x for v in values for row in v for x in row]
+    return [x for v in values for x in v]
+
+
+def _floats(flat):
+    """Float array of a flat list of finite numbers, as (array, None), or
+    (None, (k, message)) for the first fault: k is the index of an entry
+    that is not a number or not finite, or None when a number is out of
+    float range. The one conversion rule of every numeric array."""
+    if not all(map(_is_number, set(map(type, flat)))):
+        k = _first(flat, lambda x: not _is_number(type(x)))
+        return None, (k, f"{flat[k]!r} is not of type 'number'")
+    try:
+        arr = np.array(flat, dtype=float)
+    except OverflowError:
+        return None, (None, "a number is out of float range")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        return None, (k, f"{arr[k]} is not finite")
+    return arr, None
+
+
 def _numbers(value, path, errors, rows_ok=True):
     """Float array of a JSON number list, or None after appending errors.
 
@@ -199,27 +230,14 @@ def _numbers(value, path, errors, rows_ok=True):
                           f"{path}/{k}: ragged rows, length {len(value[k])} "
                           f"!= {width} at {path}/0")
             return None
-        entries = chain.from_iterable(value)
-    else:
-        entries = value
-    if not all(map(_is_number, set(map(type, entries)))):
-        flat = list(chain.from_iterable(value)) if nested else value
-        k = _first(flat, lambda x: not _is_number(type(x)))
-        where = f"{k // width}/{k % width}" if nested else str(k)
-        errors.append(f"{path}/{where}: {flat[k]!r} is not of type 'number'")
+    arr, fault = _floats(_flat([value], nested))
+    if fault is not None:
+        k, message = fault
+        where = ("" if k is None else
+                 f"/{k // width}/{k % width}" if nested else f"/{k}")
+        errors.append(f"{path}{where}: {message}")
         return None
-    try:
-        arr = np.array(value, dtype=float)
-    except OverflowError:
-        errors.append(f"{path}: a number is out of float range")
-        return None
-    finite = np.isfinite(arr)
-    if not finite.all():
-        at = tuple(np.argwhere(~finite)[0])
-        errors.append(f"{path}/{'/'.join(map(str, at))}: "
-                      f"{arr[at]} is not finite")
-        return None
-    return arr
+    return arr.reshape(len(value), width) if nested else arr
 
 
 def _edge_id(value):
@@ -246,14 +264,84 @@ def _matrix(value, rows, cols, where, errors):
     return arr
 
 
+def _vector(value, d, where, errors, rows_ok):
+    """Float array of a JSON list of d numbers, or None after appending
+    errors."""
+    vec = _numbers(value, where, errors, rows_ok)
+    if vec is None:
+        return None
+    if vec.shape != (d,):
+        errors.append(f"{where}: length {vec.size} != {d}")
+        return None
+    return vec
+
+
+def _group(values, members, shape):
+    """(k, float array) for each values[k], k in members, that is the
+    target shape, (rows,) or (rows, cols), as nested lists and converts on
+    its own; one _floats call converts them all unless one fails."""
+    rows, *cols = shape
+    fit = [k for k in members
+           if type(values[k]) is list and len(values[k]) == rows]
+    if cols:
+        listed = [row for k in fit for row in values[k]]
+        if not (set(map(type, listed)) <= {list}
+                and set(map(len, listed)) <= set(cols)):
+            fit = [k for k in fit if all(type(row) is list
+                                         and len(row) == cols[0]
+                                         for row in values[k])]
+    if not fit:
+        return []
+    arr, fault = _floats(_flat([values[k] for k in fit], bool(cols)))
+    if fault is not None:  # keep the members that convert on their own
+        fit = [k for k in fit
+               if _floats(_flat([values[k]], bool(cols)))[1] is None]
+        arr, _ = _floats(_flat([values[k] for k in fit], bool(cols)))
+    return zip(fit, arr.reshape((len(fit),) + shape))
+
+
+def _by_shape(values, shapes):
+    """Float arrays of numeric lists given with their target shapes (None
+    for none), one _group per shape: a list parallel to values, with None
+    where _group refuses a value."""
+    groups = {}
+    for k, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(k)
+    groups.pop(None, None)
+    out = [None] * len(values)
+    for shape, members in groups.items():
+        for k, arr in _group(values, members, shape):
+            out[k] = arr
+    return out
+
+
+def _batched(doc, dims):
+    """Float arrays of the document's A, g, constant f.value and block
+    matrix lists: four lists, parallel to the edges (three) and blocks,
+    with None where an array is absent or refused. The loader re-reads a
+    refused one with _matrix or _numbers for its message."""
+    edges, blocks = doc["edges"], doc.get("blocks", [])
+    square = [(d, d) for d in (int(e["dim"]) for e in edges)]
+    vector = [shape[:1] for shape in square]
+    forcing = [e.get("f", {"kind": "zero"}) for e in edges]
+    pairs = [(_edge_id(b["to"]), _edge_id(b["from"])) for b in blocks]
+    return (_by_shape([e["A"] for e in edges], square),
+            _by_shape([e.get("g") for e in edges], vector),
+            _by_shape([f.get("value") if f["kind"] == "constant" else None
+                       for f in forcing], vector),
+            _by_shape([b["matrix"] for b in blocks],
+                      [(dims[i], dims[j]) if i in dims and j in dims else None
+                       for i, j in pairs]))
+
+
 def load_problem_dict(doc):
     """Build (problem, mode, options) from a parsed problem document.
 
     The schema checks the top level, _skeleton each edge and block object,
-    and _numbers each numeric array as it is converted. A fault of the top
-    level or of an edge or block object raises ProblemFileError alone; the
-    array faults and the model's own validation raise with every collected
-    message.
+    and _batched the numeric arrays, each refused one re-read in document
+    order by _matrix or _numbers. A fault of the top level or of an edge or
+    block object raises ProblemFileError alone; the array faults and the
+    model's own validation raise with every collected message.
     """
     try:
         jsonschema.validate(doc, _validator().schema, cls=_Prechecked)
@@ -262,10 +350,12 @@ def load_problem_dict(doc):
         raise ProblemFileError([f"{path}: {exc.message}"]) from exc
     _skeleton(doc)
 
+    dims = {_edge_id(e["id"]): int(e["dim"]) for e in doc["edges"]}
+    A_arrays, g_arrays, f_arrays, matrix_arrays = _batched(doc, dims)
+
     errors = []
     edges = []
     lengths = {}
-    dims = {}
     operators = []
     g = {}
     steps = {}
@@ -289,18 +379,17 @@ def load_problem_dict(doc):
         if not math.isfinite(lengths[eid]):
             errors.append(f"{where}/length: {lengths[eid]} is not finite")
         d = int(e["dim"])
-        dims[eid] = d
         steps[eid] = int(e.get("steps", DEFAULT_STEPS))
-        A = _matrix(e["A"], d, d, f"{where}/A", errors)
+        A = A_arrays[k]
+        if A is None:
+            A = _matrix(e["A"], d, d, f"{where}/A", errors)
         if A is not None:
             operators.append(EdgeOperator(eid, A))
         if "g" in e:
-            vec = _numbers(e["g"], f"{where}/g", errors, rows_ok=False)
+            vec = g_arrays[k]
             if vec is None:
-                pass
-            elif vec.shape != (d,):
-                errors.append(f"{where}/g: length {vec.size} != {d}")
-            else:
+                vec = _vector(e["g"], d, f"{where}/g", errors, rows_ok=False)
+            if vec is not None:
                 g[eid] = vec
         f = e.get("f", {"kind": "zero"})
         kind = f["kind"]
@@ -308,16 +397,17 @@ def load_problem_dict(doc):
             if "value" in f:
                 errors.append(f"{where}/f/value: a zero forcing takes no "
                               "value")
-            continue
-        val = _numbers(f.get("value", []), f"{where}/f/value", errors)
-        if val is None:
-            pass
         elif kind == "constant":
-            if val.shape != (d,):
-                errors.append(f"{where}/f/value: length {val.size} != {d}")
-            else:
+            val = f_arrays[k]
+            if val is None:
+                val = _vector(f.get("value", []), d, f"{where}/f/value",
+                              errors, rows_ok=True)
+            if val is not None:
                 forcing_map[eid] = ConstantForcing(val)
-        elif kind == "samples":
+        else:
+            val = _numbers(f.get("value", []), f"{where}/f/value", errors)
+            if val is None:
+                continue
             if val.ndim == 1:
                 val = val[:, None]
             if val.shape != (steps[eid] + 1, d):
@@ -340,8 +430,10 @@ def load_problem_dict(doc):
                           f"already given as blocks/{first[(i, j)]}")
             continue
         first[(i, j)] = k
-        m = _matrix(b["matrix"], dims[i], dims[j], f"blocks/{k}/matrix",
-                    errors)
+        m = matrix_arrays[k]
+        if m is None:
+            m = _matrix(b["matrix"], dims[i], dims[j], f"blocks/{k}/matrix",
+                        errors)
         if m is not None:
             blocks[(i, j)] = m
     if errors:
@@ -446,9 +538,28 @@ def _nonfinite_at(o):
 def canonical_json(obj):
     """Deterministic JSON: sorted keys, 17-significant-digit numbers; a
     non-finite float, which JSON cannot carry, raises ValueError naming its
-    key path."""
+    key path.
+
+    The exact types a report is made of are dispatched first, then their
+    subclasses and numpy's types. Strings and keys are quoted by
+    encode_basestring, the function json.dumps(s, ensure_ascii=False) runs
+    after building an encoder for its argument.
+    """
 
     def emit(o):
+        t = type(o)
+        if t is float and math.isfinite(o):
+            return f"{o:.17g}" if o else "0"  # format_number's rule
+        if t is int:
+            return str(o)
+        if t is str:
+            return _quote(o)
+        if t is list:
+            return "[" + ",".join(map(emit, o)) + "]"
+        if t is dict:
+            return "{" + ",".join(
+                _quote(str(k)) + ":" + emit(v)
+                for k, v in sorted(o.items(), key=itemgetter(0))) + "}"
         if o is None:
             return "null"
         if isinstance(o, bool):
@@ -459,14 +570,11 @@ def canonical_json(obj):
                                  "is not finite and has no JSON form")
             return format_number(o)
         if isinstance(o, str):
-            return json.dumps(o, ensure_ascii=False)
+            return _quote(o)
         if isinstance(o, (list, tuple)):
-            return "[" + ",".join(emit(v) for v in o) + "]"
+            return emit(list(o))
         if isinstance(o, dict):
-            items = sorted(o.items(), key=lambda kv: kv[0])
-            return "{" + ",".join(
-                json.dumps(str(k), ensure_ascii=False) + ":" + emit(v)
-                for k, v in items) + "}"
+            return emit(dict(o))
         if isinstance(o, np.ndarray):
             return emit(o.tolist())
         raise TypeError(f"cannot serialize {type(o).__name__}")

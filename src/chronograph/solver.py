@@ -550,7 +550,15 @@ def propagate(problem, c, mono, recurrences):
 
 def solve(problem):
     """Full pipeline: monodromy, forced integrals, boundary solve, propagation.
-    A refused allocation raises ValueError naming the largest edge."""
+    A refused allocation, or states too many for numpy to index or size,
+    raises ValueError naming the largest edge."""
+    gr = problem.graph
+    size = {e: (problem.steps_for(e) + 1) * gr.dims[e] for e in gr.edges}
+    e = max(gr.edges, key=size.__getitem__)
+    too_large = ValueError(f"out of memory: the largest edge, {e!r}, has "
+                           f"(steps + 1) x dim = {size[e]} state values")
+    if size[e] * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise too_large
     try:
         mono = assemble_monodromy(problem)
         recurrences = edge_recurrences(problem)
@@ -558,12 +566,7 @@ def solve(problem):
         c = solve_boundary(problem, mono, F)
         return propagate(problem, c, mono, recurrences)
     except MemoryError:
-        gr = problem.graph
-        size = {e: (problem.steps_for(e) + 1) * gr.dims[e] for e in gr.edges}
-        e = max(gr.edges, key=size.__getitem__)
-        raise ValueError(f"out of memory: the largest edge, {e!r}, has "
-                         f"(steps + 1) x dim = {size[e]} state values") \
-            from None
+        raise too_large from None
 
 
 def resolvent_Dt(problem, lam):

@@ -506,6 +506,34 @@ def test_cli_solve_too_large_to_allocate_exits_one_naming_the_edge(
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("steps", [1e20, 10 ** 18],
+                         ids=["float-1e20", "bytes-beyond-intp"])
+def test_cli_solve_of_more_states_than_numpy_can_index_names_the_edge(
+        tmp_path, steps):
+    """1e20 + 1 states are beyond numpy's index range, and 10^18 + 1
+    complex states beyond its byte range: the solve names the edge as for a
+    refused allocation, and classify, which allocates no states, still
+    succeeds."""
+    path = make_problem_file(tmp_path, {"edges": [
+        {"id": "e", "length": 1.0, "dim": 1, "A": [[-1.0]], "steps": steps}]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "chronograph", *args],
+                              capture_output=True, text=True, env=env)
+
+    solved = run("solve", path, "--out", str(tmp_path))
+    assert solved.returncode == 1
+    assert "Traceback" not in solved.stderr
+    assert solved.stderr.splitlines() == [
+        f"error: out of memory: the largest edge, 'e', has (steps + 1) x "
+        f"dim = {int(steps) + 1} state values"]
+    assert not (tmp_path / "report.json").exists()
+    assert run("classify", path).returncode == 0
+
+
 def test_cli_zero_forcing_with_a_value_exits_one(tmp_path, capsys):
     doc = {"edges": [{"id": 0, "length": 1, "dim": 1, "A": [[0]],
                       "f": {"kind": "zero", "value": [1.0]}}]}

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronograph import cli, scenarios
+from chronograph import cli, problem_io, scenarios
 from chronograph.problem_io import (ProblemFileError, canonical_json,
                                     load_problem_dict, load_problem_file,
                                     problem_to_dict)
@@ -51,10 +51,32 @@ def _samples_doc(dim):
     }
 
 
+def _groups_doc():
+    """Five scalar edges and three of dimension 2, so that each target
+    shape the loader converts in one group, (1, 1), (2, 2), (1,), (2,),
+    (2, 1) and (1, 2), has several arrays, and a fault can sit in the
+    middle of one."""
+    scalar = [{"id": k, "length": 1.0, "dim": 1, "steps": 4,
+               "A": [[-1.0 - 0.25 * k]], "g": [0.5 * k],
+               "f": {"kind": "constant", "value": [1.0 - 0.5 * k]}}
+              for k in range(5)]
+    pair = [{"id": k, "length": 0.5, "dim": 2, "steps": 4,
+             "A": [[-1.0 - 0.25 * k, 0.5], [0.0, -2.0]], "g": [1.0, -0.5 * k],
+             "f": {"kind": "constant", "value": [0.25 * k, 1.0]}}
+            for k in range(5, 8)]
+    blocks = ([{"from": k, "to": k + 1, "matrix": [[0.5]]} for k in range(4)]
+              + [{"from": 4, "to": 5, "matrix": [[0.5], [0.25]]},
+                 {"from": 5, "to": 6, "matrix": [[0.5, 0.0], [0.0, 0.5]]},
+                 {"from": 6, "to": 7, "matrix": [[0.25, 0.25], [0.0, 0.5]]},
+                 {"from": 7, "to": 0, "matrix": [[0.5, 0.25]]}])
+    return {"edges": scalar + pair, "blocks": blocks}
+
+
 BASE = {sid: json.dumps(scenarios.build_scenario(sid))
         for sid in scenarios.SCENARIO_IDS}
 BASE["samples_rows"] = json.dumps(_samples_doc(2))
 BASE["samples_flat"] = json.dumps(_samples_doc(1))
+BASE["groups"] = json.dumps(_groups_doc())
 
 
 # -- the oracle -------------------------------------------------------------
@@ -503,3 +525,213 @@ def test_dim_that_disagrees_with_A_is_named_at_A(tmp_path, dim):
     d = int(dim)
     assert run.stderr.splitlines() == [
         f"error: edges/0/A: shape (1, 1) != ({d}, {d})"]
+
+
+# -- arrays converted one shape group at a time -----------------------------
+
+def _set(path, value):
+    def mutate(doc):
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+    return mutate
+
+
+def _shared(entry):
+    def mutate(doc):
+        shared = [[entry]]
+        for k in (1, 2, 3):
+            doc["edges"][k]["A"] = shared
+    return mutate
+
+
+def _numpy_scalars(doc):
+    doc["edges"][6]["A"] = [[np.float64(-1.0), np.int64(0)],
+                            [np.float32(0.5), -2]]
+    doc["edges"][2]["g"] = [np.float64(1.0)]
+
+
+def _several(doc):
+    doc["edges"][1]["f"]["value"] = [math.inf]
+    doc["edges"][6]["A"][1] = [True, 0.0]
+    doc["blocks"][5]["matrix"] = [0.5, 0.0, 0.0]
+    doc["edges"][3]["A"] = [[10 ** 400]]
+    doc["edges"][7]["g"] = ["1", 0.0]
+
+
+def _loads_as_given(doc, problem):
+    """Every array of an accepted document is np.array of its list."""
+    def given(value, shape):
+        return np.array(value, dtype=float).reshape(shape)
+
+    for e in doc["edges"]:
+        d = e["dim"]
+        assert np.array_equal(problem.operator(e["id"]), given(e["A"], (d, d)))
+        assert np.array_equal(problem.g[e["id"]], given(e["g"], (d,)))
+        assert np.array_equal(problem.forcing.spec_for(e["id"]).value,
+                              given(e["f"]["value"], (d,)))
+    for b in doc["blocks"]:
+        m = problem.B.blocks[b["to"], b["from"]]
+        assert np.array_equal(m, given(b["matrix"], m.shape))
+
+
+@pytest.mark.parametrize("mutate, messages", [
+    (_numpy_scalars, []),
+    (_shared(-1.5), []),
+    (_set(("edges", 6, "A"), [-1.0, 0.5, 0.0, -2.0]), []),
+    (_shared(math.nan), ["edges/1/A/0/0: nan is not finite",
+                         "edges/2/A/0/0: nan is not finite",
+                         "edges/3/A/0/0: nan is not finite"]),
+    (_set(("edges", 6, "A"), [-1.0, 0.5, 0.0]),
+     ["edges/6/A: flat matrix length 3 != 4"]),
+    (_set(("edges", 2, "A"), [[10 ** 400]]),
+     ["edges/2/A: a number is out of float range"]),
+    (_set(("edges", 6, "A", 1, 0), math.nan),
+     ["edges/6/A/1/0: nan is not finite"]),
+    (_set(("edges", 2, "g", 0), math.inf), ["edges/2/g/0: inf is not finite"]),
+    (_set(("blocks", 5, "matrix", 0, 1), -math.inf),
+     ["blocks/5/matrix/0/1: -inf is not finite"]),
+    (_set(("edges", 3, "f", "value", 0), True),
+     ["edges/3/f/value/0: True is not of type 'number'"]),
+    (_set(("edges", 6, "g", 1), [1.0]),
+     ["edges/6/g/1: [1.0] is not of type 'number'"]),
+    (_set(("blocks", 6, "matrix", 1), [0.5]),
+     ["blocks/6/matrix/1: ragged rows, length 1 != 2 at blocks/6/matrix/0"]),
+    (_several, ["edges/1/f/value/0: inf is not finite",
+                "edges/3/A: a number is out of float range",
+                "edges/6/A/1/0: True is not of type 'number'",
+                "edges/7/g/0: '1' is not of type 'number'",
+                "blocks/5/matrix: flat matrix length 3 != 4"]),
+], ids=["numpy-scalars", "shared-list", "flat-A-among-nested",
+        "shared-list-nan", "flat-A-too-short", "huge-int", "nan-in-A",
+        "inf-in-g", "-inf-in-matrix", "bool-in-f", "row-in-g",
+        "ragged-matrix", "several"])
+def test_a_fault_in_a_group_is_named_as_when_read_alone(mutate, messages):
+    """A group of same-shape arrays refuses only its faulty members, which
+    are then read alone: the messages, and their document order, are those
+    of reading every array on its own."""
+    doc = _groups_doc()
+    mutate(doc)
+    if messages:
+        assert _messages(doc) == messages
+    else:
+        problem, _, _ = load_problem_dict(doc)
+        _loads_as_given(doc, problem)
+
+
+def _scalar_chain(n):
+    edges = [{"id": k, "length": 1.0, "dim": 1, "steps": 4,
+              "A": [[-1.0 - k / n]], "f": {"kind": "constant",
+                                           "value": [0.5]}}
+             for k in range(n)]
+    edges[0]["g"] = [1.0]
+    blocks = [{"from": k - 1, "to": k, "matrix": [[0.5]]}
+              for k in range(1, n)]
+    return {"edges": edges, "blocks": blocks}
+
+
+@pytest.mark.parametrize("bad, calls, code", [(False, 0, 0), (True, 1, 1)],
+                         ids=["valid", "one-bad-A"])
+def test_a_chain_is_converted_without_reading_arrays_one_by_one(
+        tmp_path, monkeypatch, capsys, bad, calls, code):
+    """A valid 600-edge chain's 1800 arrays are converted in their shape
+    groups, with no per-array _numbers call; a bad A is the one array
+    re-read."""
+    doc = _scalar_chain(600)
+    if bad:
+        doc["edges"][300]["A"] = [["-1"]]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    read = []
+
+    def counted_numbers(value, path, *args, _numbers=problem_io._numbers,
+                        **kwargs):
+        read.append(path)
+        return _numbers(value, path, *args, **kwargs)
+
+    monkeypatch.setattr(problem_io, "_numbers", counted_numbers)
+    assert cli.main(["classify", str(path)]) == code
+    assert len(read) == calls
+    if bad:
+        assert capsys.readouterr().err == \
+            "error: edges/300/A/0/0: '-1' is not of type 'number'\n"
+
+
+# -- canonical JSON ---------------------------------------------------------
+
+def recursive_canonical_json(obj):
+    """The recursive emitter canonical_json replaced, kept as its oracle:
+    one json.dumps per string and key."""
+
+    def emit(o):
+        if o is None:
+            return "null"
+        if isinstance(o, bool):
+            return "true" if o else "false"
+        if isinstance(o, (int, float, np.integer, np.floating)):
+            if isinstance(o, (float, np.floating)) and not math.isfinite(o):
+                raise ValueError(f"{problem_io._nonfinite_at(obj) or 'document'}"
+                                 f": {o} is not finite and has no JSON form")
+            return problem_io.format_number(o)
+        if isinstance(o, str):
+            return json.dumps(o, ensure_ascii=False)
+        if isinstance(o, (list, tuple)):
+            return "[" + ",".join(emit(v) for v in o) + "]"
+        if isinstance(o, dict):
+            items = sorted(o.items(), key=lambda kv: kv[0])
+            return "{" + ",".join(
+                json.dumps(str(k), ensure_ascii=False) + ":" + emit(v)
+                for k, v in items) + "}"
+        if isinstance(o, np.ndarray):
+            return emit(o.tolist())
+        raise TypeError(f"cannot serialize {type(o).__name__}")
+
+    return emit(obj) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+               0.1, 1 / 3]
+NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.nan),
+              np.float32(-math.inf)]
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀'),
+                         st.characters()), max_size=8)
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(EDGE_FLOATS))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), TEXT, FLOATS,
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.lists(FLOATS, max_size=4).map(np.array),
+    st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=3).map(
+        lambda rows: np.array(rows).reshape(-1, 2)))
+JUNK = st.one_of(
+    st.sampled_from(NON_FINITE),
+    st.lists(st.sampled_from(NON_FINITE), min_size=1, max_size=2).map(
+        np.array),
+    st.booleans().map(np.bool_), st.just(object()), st.just({1, 2}))
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(TEXT, kids, max_size=4),
+        st.dictionaries(st.integers(), kids, max_size=4)), max_leaves=24)
+
+
+def _outcome(emit, obj):
+    try:
+        return emit(obj)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(st.one_of(_trees(SCALARS), _trees(st.one_of(SCALARS, JUNK))))
+def test_canonical_json_emits_the_recursive_emitters_bytes(tree):
+    """Equal text for any tree of JSON's types, their numpy forms and
+    tuples; a non-finite number or an unserializable value anywhere raises
+    the same exception with the same message."""
+    assert _outcome(canonical_json, tree) == \
+        _outcome(recursive_canonical_json, tree)
