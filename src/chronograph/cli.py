@@ -92,12 +92,15 @@ def _float(x):
 
 
 def _solvability_dict(problem):
+    """The classifier's report with its edge positions as edge ids."""
+    edges = problem.graph.edges
     rep = classify_solvability(pattern_of(problem.B, problem.graph))
     return {
         "category": rep.category,
-        "ordering": None if rep.ordering is None else list(rep.ordering),
+        "ordering": (None if rep.ordering is None
+                     else [edges[k] for k in rep.ordering]),
         "blocking_cycle": (None if rep.blocking_cycle is None
-                           else list(rep.blocking_cycle)),
+                           else [edges[k] for k in rep.blocking_cycle]),
     }
 
 

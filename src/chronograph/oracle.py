@@ -105,14 +105,14 @@ def picard_boundary(problem, report):
     """Boundary vector by fixed-point iteration c <- B(Ec + F) + g from zero.
 
     Iterates on the system of the solve that produced report (a solver.solve
-    report): B E = I - M from its monodromy, and F from its recurrences.
+    report): B E = I - M from its monodromy, and F from its chunks.
     Converges geometrically iff rho(B E) < 1; divergence is raised up front
     from the spectral radius rather than detected by overflow.  O(n^3): it
     forms M densely and takes all its eigenvalues.
     """
     M = report.monodromy.dense()
     BE = np.eye(len(M), dtype=complex) - M
-    F = solver.forced_terminal_integrals(problem, report.recurrences)
+    F = solver.forced_terminal_integrals(problem, report.chunks)
     rho = float(np.max(np.abs(np.linalg.eigvals(BE))))
     if rho >= 1.0:
         raise PicardDivergence(rho)

@@ -601,26 +601,24 @@ def solution_csv(report):
     """Trajectories as CSV: edge_id, t, then real and imaginary components.
 
     Column count is fixed by the largest edge dimension; lower-dimensional
-    edges leave the surplus fields empty.  Each of the solve's edge chunks
-    is written by one %-format call over a row template; the fields read
-    as format_number would write them (adding 0.0 turns -0.0 into 0.0,
-    printed "0").
+    edges leave the surplus fields empty.  Each of the report's edge chunks
+    is written by one %-format call over a row template, straight from the
+    chunk's times and state stack; the fields read as format_number would
+    write them (adding 0.0 turns -0.0 into 0.0, printed "0").
     """
-    dmax = max(report.solutions[e].states.shape[1] for e in report.edge_order)
+    dmax = max(X.shape[-1] for X in report.states)
     header = (["edge_id", "t"]
               + [f"re_{k}" for k in range(dmax)]
               + [f"im_{k}" for k in range(dmax)])
     parts = [",".join(header) + "\n"]
-    for chunk in report.chunks():
-        sols = [report.solutions[e] for e in chunk]
-        rows, d = sols[0].states.shape
-        states = np.concatenate([sol.states for sol in sols])
+    for chunk, X in zip(report.chunks, report.states):
+        _, rows, d = X.shape
+        states = X.reshape(-1, d)
         part = ",%.17g" * d + "," * (dmax - d)
         template = "".join(
             (str(e).replace("%", "%%") + ",%.17g" + part + part + "\n") * rows
-            for e in chunk)
+            for e in chunk.edges)
         values = np.column_stack([
-            np.concatenate([sol.times for sol in sols]), states.real,
-            states.imag]) + 0.0
+            chunk.times.reshape(-1), states.real, states.imag]) + 0.0
         parts.append(template % tuple(values.ravel().tolist()))
     return "".join(parts)

@@ -25,12 +25,14 @@ the scan's arithmetic rather than repeating it.
 Everything after the boundary solve runs on edge chunks: maximal runs of
 consecutive edges, in graph order, that share (dim, steps), cut so that a
 chunk's state stack, edges x (steps + 1) x dim, holds at most CHUNK_VALUES
-values.  A chunk keeps its step operators, increments, node forcing, states
-and times stacked along a leading edge axis, and the scan, the forced
-terminal values, propagation, the one-step and energy residuals, the
-boundary residual and the CSV writer each make one pass per chunk.  The
-per-edge EdgeRecurrence and EdgeSolution entries are views into those
-stacks.  Batching pays on many small edges, where per-edge numpy calls
+values.  edge_recurrences works the layout out once and returns one Chunk
+per chunk, with its step operators, increments, node forcing and grid
+times stacked along a leading edge axis; propagate adds one state stack
+per chunk.  The scan, the forced terminal values, propagation, the
+one-step and energy residuals, the boundary residual and the CSV writer
+each make one pass per chunk over those stacks, and none re-stacks them.
+A report's per-edge EdgeRecurrence and EdgeSolution entries are views
+into them.  Batching pays on many small edges, where per-edge numpy calls
 dominate; on a few long edges a wide stack only slows the scan's products
 down, so an edge that alone fills the budget is a chunk of one, with
 exactly the per-edge arithmetic.  Each slice of a stacked product is the
@@ -38,8 +40,8 @@ product of that edge alone, so outputs do not depend on the chunking.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -107,14 +109,27 @@ class EdgeSolution:
 
 @dataclass(frozen=True)
 class SolveReport:
-    solutions: dict                  # edge id -> EdgeSolution
     edge_order: tuple
     boundary_residual: float         # ||psi_- - B psi_+ - g|| / (1 + ||g||)
     ode_residual: float              # max scaled one-step recurrence defect
     energy_defect: float
     commutator_norm: float           # || [blockdiag(A_j), B] ||, informational
     monodromy: Monodromy             # the solve's boundary system
-    recurrences: dict                # edge id -> EdgeRecurrence
+    chunks: tuple                    # Chunk per edge chunk, in graph order
+    states: tuple                    # per chunk: (edges, steps + 1, dim)
+
+    @cached_property
+    def solutions(self):
+        """edge id -> EdgeSolution, views into the chunk stacks."""
+        return {e: EdgeSolution(e, t, x)
+                for chunk, X in zip(self.chunks, self.states)
+                for e, t, x in zip(chunk.edges, chunk.times, X)}
+
+    @cached_property
+    def recurrences(self):
+        """edge id -> EdgeRecurrence, views into the chunk stacks."""
+        return {e: EdgeRecurrence(*x) for chunk in self.chunks
+                for e, x in zip(chunk.edges, zip(chunk.Eh, chunk.b, chunk.f))}
 
     @property
     def monodromy_rcond(self):
@@ -127,41 +142,22 @@ class SolveReport:
         return bool(self.monodromy.rcond < ILL_CONDITIONED_RCOND)
 
     def psi_minus(self):
-        return np.concatenate(
-            [self.solutions[e].states[0] for e in self.edge_order])
-
-    def chunks(self):
-        """The edge chunks of the solve, read from its states' shapes."""
-        return _runs(self.edge_order, [self.solutions[e].states.shape
-                                       for e in self.edge_order])
-
-
-def _runs(edges, shapes):
-    """Maximal runs of consecutive edges that share a shape, (rows,
-    columns), given per edge in order; each run is cut into pieces of as
-    many edges as fit in CHUNK_VALUES values, and at least one."""
-    runs = []
-    for (rows, cols), run in groupby(zip(edges, shapes), key=itemgetter(1)):
-        run = [e for e, _ in run]
-        size = max(1, CHUNK_VALUES // (rows * cols))
-        runs.extend(run[k:k + size] for k in range(0, len(run), size))
-    return runs
+        return np.concatenate([X[:, 0].reshape(-1) for X in self.states])
 
 
 def edge_chunks(problem):
-    """The problem's edge chunks: lists of edge ids, in graph order."""
+    """The problem's edge chunks, lists of edge ids in graph order: maximal
+    runs of consecutive edges that share (steps + 1, dim), each cut into
+    pieces of as many edges as fit in CHUNK_VALUES state values, and at
+    least one."""
     gr = problem.graph
-    return _runs(gr.edges, [(problem.steps_for(e) + 1, gr.dims[e])
-                            for e in gr.edges])
-
-
-def _stacked(arrays):
-    """Equally shaped arrays stacked along a new axis 0 (one concatenate,
-    cheaper than np.stack on many small arrays); a view of a lone array, so
-    a chunk of one edge copies nothing."""
-    if len(arrays) == 1:
-        return arrays[0][None]
-    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
+    runs = []
+    for (rows, cols), run in groupby(
+            gr.edges, key=lambda e: (problem.steps_for(e) + 1, gr.dims[e])):
+        run = list(run)
+        size = max(1, CHUNK_VALUES // (rows * cols))
+        runs.extend(run[k:k + size] for k in range(0, len(run), size))
+    return runs
 
 
 def _mT(stack):
@@ -288,15 +284,28 @@ class EdgeRecurrence:
     f: np.ndarray   # (steps + 1, dim) forcing at the grid nodes
 
 
-def edge_recurrences(problem):
-    """Step operator, increments and node forcing per edge: edge id ->
-    EdgeRecurrence, each entry a view into its chunk's stacks.
+@dataclass(frozen=True)
+class Chunk:
+    """One edge chunk's recurrences and grid, stacked along a leading edge
+    axis."""
 
-    The (e^{hA}, phi1(hA), phi2(hA)) triples of all edges of one dimension
-    come from one stacked augmented exponential, taken once per distinct
-    hA.  The forcing is sampled here, once per edge and solve, and every
-    later consumer reads it.  A chunk's increments come from one stacked
-    product.
+    edges: list         # edge ids, in graph order
+    Eh: np.ndarray      # (edges, dim, dim) e^{hA}
+    b: np.ndarray       # (edges, steps, dim) increments from the forcing
+    f: np.ndarray       # (edges, steps + 1, dim) forcing at the grid nodes
+    times: np.ndarray   # (edges, steps + 1) grid nodes, 0 .. a_j inclusive
+
+
+def edge_recurrences(problem):
+    """The problem's edge chunks, each a Chunk of step operators,
+    increments, node forcing and grid times.
+
+    The layout comes from one edge_chunks call, and every later stage
+    reads it from here.  The (e^{hA}, phi1(hA), phi2(hA)) triples of all
+    edges of one dimension come from one stacked augmented exponential,
+    taken once per distinct hA.  The forcing is sampled here, once per edge
+    and solve, and every later consumer reads it.  A chunk's increments
+    come from one stacked product, and its grid from one linspace.
     """
     gr = problem.graph
     h = {e: float(gr.lengths[e]) / problem.steps_for(e) for e in gr.edges}
@@ -311,21 +320,24 @@ def edge_recurrences(problem):
             triple = _per_distinct(matfun.expm_phi12, hA)
         _require_finite(problem, edges, *((step, x) for x in triple))
         triples.update((e, (triple, k)) for k, e in enumerate(edges))
-    out = {}
+    chunks = []
     for chunk in edge_chunks(problem):
         # a chunk is a run of consecutive edges of its dim group
         triple, k = triples[chunk[0]]
         Eh, P1, P2 = (x[k:k + len(chunk)] for x in triple)
         hs = np.array([h[e] for e in chunk])[:, None, None]
-        f = _stacked([forcing_node_values(problem, e) for e in chunk])
+        steps = problem.steps_for(chunk[0])
+        f = np.concatenate([forcing_node_values(problem, e) for e in chunk]
+                           ).reshape(len(chunk), steps + 1, -1)
         with np.errstate(over="ignore", invalid="ignore"):
             b = (f[:, :-1] @ _mT(hs * P1)
                  + (f[:, 1:] - f[:, :-1]) @ _mT(hs * P2))
         _require_finite(problem, chunk, (lambda e: f"the forcing increment "
                                          f"for h = {h[e]!r}", b))
-        out.update((e, EdgeRecurrence(*x))
-                   for e, x in zip(chunk, zip(Eh, b, f)))
-    return out
+        times = np.linspace(0.0, [float(gr.lengths[e]) for e in chunk],
+                            steps + 1, axis=-1)
+        chunks.append(Chunk(chunk, Eh, b, f, times))
+    return tuple(chunks)
 
 
 def _scan(Eh, b, start):
@@ -351,25 +363,21 @@ def _scan(Eh, b, start):
     return x
 
 
-def _chunk_recurrence(recurrences, chunk):
-    """The chunk's stacked step operators and increments."""
-    return (_stacked([recurrences[e].Eh for e in chunk]),
-            _stacked([recurrences[e].b for e in chunk]))
-
-
-def forced_terminal_integrals(problem, recurrences):
+def forced_terminal_integrals(problem, chunks):
     """Stacked terminal values of the forced-only flow started from zero.
 
     Componentwise this is the convolution of the edge propagator with the
-    forcing over the whole edge, evaluated by the exact recurrences (from
-    edge_recurrences) that the propagation uses, one scan per chunk.
+    forcing over the whole edge, evaluated by the exact recurrences of the
+    chunks (from edge_recurrences) that the propagation uses, one scan per
+    chunk.
     """
     _require_valid(problem)
     F = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in edge_chunks(problem):
-            x = _scan(*_chunk_recurrence(recurrences, chunk), 0.0)[:, -1]
-            _require_finite(problem, chunk, ("the forced terminal value", x))
+        for chunk in chunks:
+            x = _scan(chunk.Eh, chunk.b, 0.0)[:, -1]
+            _require_finite(problem, chunk.edges,
+                            ("the forced terminal value", x))
             F.append(x.reshape(-1))
     return np.concatenate(F)
 
@@ -433,32 +441,25 @@ def _composite_simpson(values, h):
     return total
 
 
-def _chunk_states(solutions, chunk):
-    """The chunk's stacked states."""
-    return _stacked([solutions[e].states for e in chunk])
-
-
-def energy_defect_of(problem, solutions, recurrences):
+def energy_defect_of(problem, chunks, states):
     """|Re<psi', psi> - (||psi_+||^2 - ||psi_-||^2)/2| with psi' = A psi + f
-    at the nodes (f from the solve's recurrences) and composite Simpson
-    along each edge, one pass per chunk; the edges' terms are summed in
-    graph order.  A term that overflows raises ValueError naming its
-    edge."""
+    at the nodes (f from the solve's chunks, psi from their state stacks)
+    and composite Simpson along each edge, one pass per chunk; the edges'
+    terms are summed in graph order.  A term that overflows raises
+    ValueError naming its edge."""
     inner = 0.0
     plus_sq = 0.0
     minus_sq = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in edge_chunks(problem):
-            X = _chunk_states(solutions, chunk)
-            times = _stacked([solutions[e].times for e in chunk])
-            deriv = (X @ _mT(problem.operator_stack(chunk))
-                     + _stacked([recurrences[e].f for e in chunk]))
+        for chunk, X in zip(chunks, states):
+            deriv = X @ _mT(problem.operator_stack(chunk.edges)) + chunk.f
             values = np.real(np.sum(np.conj(X) * deriv, axis=-1))
             terms = np.stack([
-                _composite_simpson(values, times[:, 1] - times[:, 0]),
+                _composite_simpson(values,
+                                   chunk.times[:, 1] - chunk.times[:, 0]),
                 np.sum(np.abs(X[:, -1]) ** 2, axis=-1),
                 np.sum(np.abs(X[:, 0]) ** 2, axis=-1)], axis=-1)
-            _require_finite(problem, chunk, ("an energy term", terms))
+            _require_finite(problem, chunk.edges, ("an energy term", terms))
             for integral, plus, minus in terms.tolist():
                 inner += integral
                 plus_sq += plus
@@ -467,7 +468,7 @@ def energy_defect_of(problem, solutions, recurrences):
                        abs(inner - 0.5 * (plus_sq - minus_sq)))
 
 
-def _one_step_defect(problem, solutions, recurrences):
+def _one_step_defect(problem, chunks, states):
     """Max over nodes of ||x[k+1] - (Eh x[k] + b[k])|| / (1 + ||x[k]||).
 
     The scan forms each state from powers of Eh applied to the inputs; this
@@ -475,25 +476,20 @@ def _one_step_defect(problem, solutions, recurrences):
     or powers shows up here.
     """
     worst = 0.0
-    for chunk in edge_chunks(problem):
-        X = _chunk_states(solutions, chunk)
-        Eh, b = _chunk_recurrence(recurrences, chunk)
-        defect = np.linalg.norm(X[:, 1:] - (X[:, :-1] @ _mT(Eh) + b),
-                                axis=-1)
+    for chunk, X in zip(chunks, states):
+        defect = np.linalg.norm(
+            X[:, 1:] - (X[:, :-1] @ _mT(chunk.Eh) + chunk.b), axis=-1)
         scale = 1.0 + np.linalg.norm(X[:, :-1], axis=-1)
-        _require_finite(problem, chunk, ("the one-step defect", defect),
+        _require_finite(problem, chunk.edges, ("the one-step defect", defect),
                         ("the step defect's scale 1 + ||x[k]||", scale))
         worst = max(worst, float(np.max(defect / scale)))
     return worst
 
 
-def _boundary_residual(problem, solutions):
+def _boundary_residual(problem, states):
     gr = problem.graph
-    # (E, 2, d) per chunk: each edge's first and last state
-    ends = [_chunk_states(solutions, chunk)[:, [0, -1]]
-            for chunk in edge_chunks(problem)]
-    minus = np.concatenate([x[:, 0].reshape(-1) for x in ends])
-    plus = np.concatenate([x[:, 1].reshape(-1) for x in ends])
+    minus = np.concatenate([X[:, 0].reshape(-1) for X in states])
+    plus = np.concatenate([X[:, -1].reshape(-1) for X in states])
     g = stack_edge_values(gr, problem.g)
     residual = _finite(problem, None, "the boundary residual", np.linalg.norm(
         minus - problem.B.apply(gr, plus) - g))
@@ -512,11 +508,10 @@ def _commutator_norm(problem):
         for (i, j), m in problem.B.blocks.items()})
 
 
-def propagate(problem, c, mono, recurrences):
+def propagate(problem, c, mono, chunks):
     """Integrate every edge from the given stacked initial values with the
-    solve's recurrences, one scan per chunk, and attach residual
-    diagnostics; a state or residual term that overflows raises ValueError
-    naming it."""
+    solve's chunks, one scan per chunk, and attach residual diagnostics; a
+    state or residual term that overflows raises ValueError naming it."""
     _require_valid(problem)
     gr = problem.graph
     off = gr.offsets()
@@ -524,27 +519,25 @@ def propagate(problem, c, mono, recurrences):
     if c.shape[0] != gr.size():
         raise ValueError(f"boundary vector length {c.shape[0]} != {gr.size()}")
 
-    solutions = {}
+    states = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in edge_chunks(problem):
-            start = off[chunk[0]]
-            states = _scan(*_chunk_recurrence(recurrences, chunk),
-                           c[start:start + len(chunk) * gr.dims[chunk[0]]]
-                           .reshape(len(chunk), -1))
-            _require_finite(problem, chunk, ("a propagated state", states))
-            times = np.linspace(0.0, [float(gr.lengths[e]) for e in chunk],
-                                problem.steps_for(chunk[0]) + 1, axis=-1)
-            solutions.update((e, EdgeSolution(e, t, x))
-                             for e, t, x in zip(chunk, times, states))
+        for chunk in chunks:
+            edges = chunk.edges
+            start = off[edges[0]]
+            X = _scan(chunk.Eh, chunk.b,
+                      c[start:start + len(edges) * gr.dims[edges[0]]]
+                      .reshape(len(edges), -1))
+            _require_finite(problem, edges, ("a propagated state", X))
+            states.append(X)
         return SolveReport(
-            solutions=solutions,
             edge_order=tuple(gr.edges),
-            boundary_residual=_boundary_residual(problem, solutions),
-            ode_residual=_one_step_defect(problem, solutions, recurrences),
-            energy_defect=energy_defect_of(problem, solutions, recurrences),
+            boundary_residual=_boundary_residual(problem, states),
+            ode_residual=_one_step_defect(problem, chunks, states),
+            energy_defect=energy_defect_of(problem, chunks, states),
             commutator_norm=_commutator_norm(problem),
             monodromy=mono,
-            recurrences=recurrences,
+            chunks=chunks,
+            states=tuple(states),
         )
 
 
@@ -561,10 +554,10 @@ def solve(problem):
         raise too_large
     try:
         mono = assemble_monodromy(problem)
-        recurrences = edge_recurrences(problem)
-        F = forced_terminal_integrals(problem, recurrences)
+        chunks = edge_recurrences(problem)
+        F = forced_terminal_integrals(problem, chunks)
         c = solve_boundary(problem, mono, F)
-        return propagate(problem, c, mono, recurrences)
+        return propagate(problem, c, mono, chunks)
     except MemoryError:
         raise too_large from None
 

@@ -100,7 +100,19 @@ def test_chunks_break_on_dim_steps_and_budget():
     assert [c[0] for c in solver.edge_chunks(problem)] \
         == [0, 5, 8, 10, 18, 26, 30]
     report = solver.solve(problem)
-    assert report.chunks() == solver.edge_chunks(problem)
+    assert [c.edges for c in report.chunks] == solver.edge_chunks(problem)
+
+
+def test_a_solve_works_the_chunk_layout_out_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(problem, _edge_chunks=solver.edge_chunks):
+        calls.append(problem)
+        return _edge_chunks(problem)
+
+    monkeypatch.setattr(solver, "edge_chunks", counted)
+    assert cli.run_solve(_write(tmp_path, mixed_doc()), str(tmp_path)) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("sid", scenarios.SCENARIO_IDS)
@@ -121,17 +133,24 @@ def test_document_outputs_do_not_depend_on_the_chunking(tmp_path,
     assert got["chunked"] == got["per_edge"]
 
 
+def _owner(a):
+    """The array that owns a's memory."""
+    return a if a.base is None else a.base
+
+
 def test_entries_are_views_into_the_chunk_stacks():
     problem = problem_io.load_problem_dict(mixed_doc())[0]
     report = solver.solve(problem)
-    for chunk in solver.edge_chunks(problem):
-        for field, items in (("states", report.solutions),
-                             ("times", report.solutions),
-                             ("b", report.recurrences),
-                             ("f", report.recurrences)):
-            bases = {id(getattr(items[e], field).base) for e in chunk}
-            assert len(bases) == 1, (chunk, field)
-        for e in chunk:
+    for chunk, X in zip(report.chunks, report.states):
+        for field, items, stack in (("states", report.solutions, X),
+                                    ("times", report.solutions, chunk.times),
+                                    ("Eh", report.recurrences, chunk.Eh),
+                                    ("b", report.recurrences, chunk.b),
+                                    ("f", report.recurrences, chunk.f)):
+            for e in chunk.edges:
+                assert _owner(getattr(items[e], field)) is _owner(stack), \
+                    (e, field)
+        for e in chunk.edges:
             # one linspace per chunk, bit for bit the edge's own grid
             assert report.solutions[e].times.tobytes() \
                 == problem.times(e).tobytes()

@@ -225,12 +225,12 @@ def test_solution_csv_matches_per_value_writer_on_edge_values():
                      [1e300 + 1e-300j, -1e-300 - 1e300j, math.inf],
                      [-math.inf * 1j, 0.1 + 1j / 3, -7.0]])
     narrow = np.array([[-0.0], [tiny], [complex(-math.inf, 1.0)]])
-    times = np.array([-0.0, 0.5, 1.0])
-    sols = {"a%d%%s": solver.EdgeSolution("a%d%%s", times, narrow),
-            7: solver.EdgeSolution(7, times, wide)}
+    times = np.array([[-0.0, 0.5, 1.0]])
+    chunks = tuple(solver.Chunk([e], None, None, None, times)
+                   for e in ("a%d%%s", 7))
     mono = solver.Monodromy(np.eye(4), 1.0, 1.0, {}, None)
-    rep = solver.SolveReport(sols, ("a%d%%s", 7), 0.0, 0.0, 0.0, 0.0, mono,
-                             {})
+    rep = solver.SolveReport(("a%d%%s", 7), 0.0, 0.0, 0.0, 0.0, mono,
+                             chunks, (narrow[None], wide[None]))
     text = solution_csv(rep)
     assert text == per_value_solution_csv(rep)
     assert text.split("\n")[1] == "a%d%%s,0,0,,,0,,"
@@ -737,6 +737,24 @@ def test_cli_classify(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["category"] == "GLOBAL_ONLY"
     assert out["blocking_cycle"] == [1, 3]
+
+
+def test_cli_classify_names_edge_ids_not_positions(tmp_path, capsys):
+    """Edges "b", "a" in that order: the ordering and the cycle list ids,
+    in the classifier's order, not positions in the document."""
+    edges = [{"id": e, "length": 1.0, "dim": 1, "A": [[-1.0]], "g": [1.0]}
+             for e in ("b", "a")]
+    block = {"from": "a", "to": "b", "matrix": [[0.5]]}
+    back = {"from": "b", "to": "a", "matrix": [[0.5]]}
+    for blocks, key, want in (([block], "ordering", ["a", "b"]),
+                              ([block, back], "blocking_cycle", ["b", "a"])):
+        path = make_problem_file(tmp_path, {"edges": edges, "blocks": blocks})
+        assert cli.main(["classify", path]) == 0
+        assert json.loads(capsys.readouterr().out)[key] == want
+        assert cli.main(["solve", path, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["solvability"][key] == want
 
 
 def test_cli_schrodinger_mode_reports_unitarity(tmp_path):

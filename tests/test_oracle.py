@@ -53,7 +53,7 @@ def test_picard_agrees_with_direct_boundary_solve():
     for sid in ("phase_shift", "jump_condition", "time_travel"):
         p = preset(sid)
         report = solver.solve(p)
-        F = solver.forced_terminal_integrals(p, report.recurrences)
+        F = solver.forced_terminal_integrals(p, report.chunks)
         direct = solver.solve_boundary(p, report.monodromy, F)
         iterated = oracle.picard_boundary(p, report)
         assert np.max(np.abs(direct - iterated)) <= 1e-10

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import json
 import math
 import os
@@ -230,18 +229,15 @@ def test_scan_matches_sequential_recurrence(d, K, growth, seed):
 def test_one_step_defect_detects_a_perturbed_state():
     for sid in scenarios.SCENARIO_IDS:
         p = preset(sid)
-        recurrences = solver.edge_recurrences(p)
+        chunks = solver.edge_recurrences(p)
         rep = solver.solve(p)
         assert rep.ode_residual <= 1e-11, sid
-        assert solver._one_step_defect(p, rep.solutions, recurrences) \
+        assert solver._one_step_defect(p, chunks, rep.states) \
             == rep.ode_residual, sid
-        e = p.graph.edges[0]
-        sol = rep.solutions[e]
-        states = sol.states.copy()
-        states[len(states) // 2, 0] += 1e-6
-        bad = dict(rep.solutions)
-        bad[e] = dataclasses.replace(sol, states=states)
-        assert solver._one_step_defect(p, bad, recurrences) > 1e-8, sid
+        # the first edge's states are the first row of the first stack
+        bad = [X.copy() for X in rep.states]
+        bad[0][0, bad[0].shape[1] // 2, 0] += 1e-6
+        assert solver._one_step_defect(p, chunks, bad) > 1e-8, sid
 
 
 def test_residuals_of_an_overflowing_state_name_it():
@@ -250,14 +246,13 @@ def test_residuals_of_an_overflowing_state_name_it():
     dropping a NaN or reporting an infinity."""
     p = preset("periodic")
     rep = solver.solve(p)
-    sol = rep.solutions[0]
-    states = sol.states.copy()
-    states[0, 0] = 1e200
-    bad = {0: dataclasses.replace(sol, states=states)}
+    states = rep.states[0].copy()
+    states[0, 0, 0] = 1e200
+    bad = (states,)
     with np.errstate(over="ignore", invalid="ignore"):  # as in propagate
         with pytest.raises(ValueError, match=r"^edge 0 \(length 1\.0\): "
                            r"the one-step defect is not finite$"):
-            solver._one_step_defect(p, bad, rep.recurrences)
+            solver._one_step_defect(p, rep.chunks, bad)
         with pytest.raises(ValueError, match="^the boundary residual is not "
                            "finite$"):
             solver._boundary_residual(p, bad)

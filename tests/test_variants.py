@@ -538,7 +538,10 @@ def dense_verify_mapping_properties(report, problem):
     the step operators and inverted I - B E twice, kept as the reference for
     the version that reads the solve's own."""
     gr = problem.graph
-    recurrences = solver.edge_recurrences(problem)
+    recurrences = {e: solver.EdgeRecurrence(*x)
+                   for chunk in solver.edge_recurrences(problem)
+                   for e, x in zip(chunk.edges,
+                                   zip(chunk.Eh, chunk.b, chunk.f))}
     failed = []
     real_defect = None
     if variants._is_real_problem(problem, recurrences):
