@@ -252,13 +252,18 @@ def _compare(path, cn_steps_req, tol, out_dir):
     lcm = math.lcm(*(problem.steps_for(e) for e in problem.graph.edges))
     cn_steps = max(cn_steps_req, 2 * lcm)
     cn_steps = ((cn_steps + 2 * lcm - 1) // (2 * lcm)) * (2 * lcm)
+    too_large = ValueError(f"compare option cn_steps (--cn-steps): the "
+                           f"reference grid of {cn_steps} steps per edge "
+                           "does not fit in memory")
+    # one edge's (cn_steps + 1) x dim states, in a size numpy can index
+    values = (cn_steps + 1) * max(problem.graph.dims.values())
+    if values * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise too_large
     try:
         fine = oracle.cn_solve(problem, cn_steps)
         coarse = oracle.cn_solve(problem, cn_steps // 2)
     except MemoryError:
-        raise ValueError(f"compare option cn_steps (--cn-steps): the "
-                         f"reference grid of {cn_steps} steps per edge "
-                         "does not fit in memory") from None
+        raise too_large from None
 
     state_disc = _max_state_disc(problem, report, fine, cn_steps)
     coarse_disc = _max_state_disc(problem, report, coarse, cn_steps // 2)

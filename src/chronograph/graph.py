@@ -40,13 +40,6 @@ class TimeGraph:
             pos += self.dims[e]
         return out
 
-    def dim_groups(self):
-        """Dimension -> edge ids of that dimension, in graph order."""
-        out = {}
-        for e in self.edges:
-            out.setdefault(self.dims[e], []).append(e)
-        return out
-
 
 @dataclass(frozen=True)
 class BlockPattern:

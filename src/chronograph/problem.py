@@ -8,6 +8,7 @@ sufficient well-posedness conditions but never gate the solve.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -181,10 +182,15 @@ class TimeGraphProblem:
         except KeyError:
             raise KeyError(f"no operator for edge {edge!r}") from None
 
-    def operator_stack(self, edges):
-        """The operators of the given edges (all of one dimension) stacked
-        into one (len(edges), d, d) array."""
-        return np.stack([self.operator(e) for e in edges])
+    @cached_property
+    def operator_groups(self):
+        """Per dimension, in order of first appearance: (its edge ids in
+        graph order, their operators as one (len(edges), d, d) stack)."""
+        groups = {}
+        for e in self.graph.edges:
+            groups.setdefault(self.graph.dims[e], []).append(e)
+        return tuple((edges, np.stack([self.operator(e) for e in edges]))
+                     for edges in groups.values())
 
     def steps_for(self, edge):
         return int(self.steps.get(edge, DEFAULT_STEPS))
@@ -205,27 +211,21 @@ class HypothesisReport:
     epsilon: Optional[float]  # uniform decay margin when all abscissas < 0
 
 
-def forcing_node_values(problem, edge, times=None):
-    """Forcing samples at the given times (default: the edge's own grid).
+def forcing_node_values(problem, edge, times):
+    """Forcing samples at the given times.
 
     Sampled forcing is defined on the edge grid and evaluated piecewise
     linearly elsewhere, matching how the integrator treats it.
     """
-    n = problem.steps_for(edge) + 1 if times is None else len(times)
-    d = problem.graph.dims[edge]
     spec = problem.forcing.spec_for(edge)
     if isinstance(spec, ZeroForcing):
-        return np.zeros((n, d), dtype=complex)
+        return np.zeros((len(times), problem.graph.dims[edge]), dtype=complex)
     if isinstance(spec, ConstantForcing):
-        return np.tile(spec.value, (n, 1))
+        return np.tile(spec.value, (len(times), 1))
     grid = problem.times(edge)
-    times = grid if times is None else np.asarray(times, dtype=float)
-    vals = spec.values
-    out = np.empty((len(times), d), dtype=complex)
-    for col in range(d):
-        out[:, col] = (np.interp(times, grid, vals[:, col].real)
-                       + 1j * np.interp(times, grid, vals[:, col].imag))
-    return out
+    return np.stack([np.interp(times, grid, v.real)
+                     + 1j * np.interp(times, grid, v.imag)
+                     for v in spec.values.T], axis=-1)
 
 
 def validate(problem):
@@ -324,9 +324,8 @@ def diagnose(problem, mono):
     """
     gr = problem.graph
     mu = {}
-    for edges in gr.dim_groups().values():
-        mu.update(zip(edges, numerical_abscissa(
-            problem.operator_stack(edges)).tolist()))
+    for edges, A in problem.operator_groups:
+        mu.update(zip(edges, numerical_abscissa(A).tolist()))
     mu = {e: mu[e] for e in gr.edges}
     B_norm = block_norm(gr, problem.B.blocks)
     worst = max(mu.values())

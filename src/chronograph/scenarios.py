@@ -176,12 +176,18 @@ def build_scenario(scenario_id, overrides=None):
         # projections, recombined by low/high projections, then passed through
         # the truncated down-shift (top mode mapped to zero)
         d = dim
-        A = np.diag([-(k + 1.0) for k in range(d)]).tolist()
-        shift = np.eye(d, k=1).tolist()
-        p_even = np.diag([1.0 if k % 2 == 0 else 0.0 for k in range(d)]).tolist()
-        p_odd = np.diag([0.0 if k % 2 == 0 else 1.0 for k in range(d)]).tolist()
-        p_low = np.diag([1.0 if k < d // 2 else 0.0 for k in range(d)]).tolist()
-        p_high = np.diag([0.0 if k < d // 2 else 1.0 for k in range(d)]).tolist()
+        try:
+            # a d x d request first: a d too large is refused at once
+            shift = np.eye(d, k=1).tolist()
+            A = np.diag([-(k + 1.0) for k in range(d)]).tolist()
+            p_even = np.diag([1.0 if k % 2 == 0 else 0.0 for k in range(d)]).tolist()
+            p_odd = np.diag([0.0 if k % 2 == 0 else 1.0 for k in range(d)]).tolist()
+            p_low = np.diag([1.0 if k < d // 2 else 0.0 for k in range(d)]).tolist()
+            p_high = np.diag([0.0 if k < d // 2 else 1.0 for k in range(d)]).tolist()
+        except MemoryError:
+            raise ValueError(f"override 'dim': the {d} x {d} matrices of "
+                             f"scenario {scenario_id!r} do not fit in "
+                             "memory") from None
         zero = {"kind": "zero"}
         doc = {
             "edges": [

@@ -26,17 +26,18 @@ Everything after the boundary solve runs on edge chunks: maximal runs of
 consecutive edges, in graph order, that share (dim, steps), cut so that a
 chunk's state stack, edges x (steps + 1) x dim, holds at most CHUNK_VALUES
 values.  edge_recurrences works the layout out once and returns one Chunk
-per chunk, with its step operators, increments, node forcing and grid
-times stacked along a leading edge axis; propagate adds one state stack
-per chunk.  The scan, the forced terminal values, propagation, the
-one-step and energy residuals, the boundary residual and the CSV writer
-each make one pass per chunk over those stacks, and none re-stacks them.
-A report's per-edge EdgeRecurrence and EdgeSolution entries are views
-into them.  Batching pays on many small edges, where per-edge numpy calls
-dominate; on a few long edges a wide stack only slows the scan's products
-down, so an edge that alone fills the budget is a chunk of one, with
-exactly the per-edge arithmetic.  Each slice of a stacked product is the
-product of that edge alone, so outputs do not depend on the chunking.
+per chunk, the one per-edge record of a solve: its operators, step
+operators, increments, node forcing and grid times stacked along a
+leading edge axis; propagate adds one state stack per chunk.  The scan,
+the forced terminal values, propagation, the one-step and energy
+residuals, the boundary residual and the CSV writer each make one pass
+per chunk over those stacks, and none re-stacks them.  A report's
+per-edge EdgeSolution entries are views into them.  Batching pays on
+many small edges, where per-edge numpy calls dominate; on a few long
+edges a wide stack only slows the scan's products down, so an edge that
+alone fills the budget is a chunk of one, with exactly the per-edge
+arithmetic.  Each slice of a stacked product is the product of that edge
+alone, so outputs do not depend on the chunking.
 """
 
 from dataclasses import dataclass, replace
@@ -46,8 +47,8 @@ from itertools import groupby
 import numpy as np
 
 from . import matfun
-from .problem import (EdgeOperator, SampledForcing, ZeroForcing, block_norm,
-                      forcing_node_values, stack_edge_values, validate)
+from .problem import (ConstantForcing, EdgeOperator, SampledForcing,
+                      ZeroForcing, block_norm, stack_edge_values, validate)
 
 MILD = "MILD"
 STRONG = "STRONG"
@@ -125,12 +126,6 @@ class SolveReport:
                 for chunk, X in zip(self.chunks, self.states)
                 for e, t, x in zip(chunk.edges, chunk.times, X)}
 
-    @cached_property
-    def recurrences(self):
-        """edge id -> EdgeRecurrence, views into the chunk stacks."""
-        return {e: EdgeRecurrence(*x) for chunk in self.chunks
-                for e, x in zip(chunk.edges, zip(chunk.Eh, chunk.b, chunk.f))}
-
     @property
     def monodromy_rcond(self):
         """The boundary system's conditioning, read from its Monodromy."""
@@ -202,15 +197,16 @@ def _finite(problem, e, what, x):
 
 
 def _exponents(problem, factor, what):
-    """Per dim group: (edge ids, stack of factor[e] * A_e), each product
-    checked finite before it reaches an exponential."""
+    """Per dim group of problem.operator_groups: (edge ids, stack of A_e,
+    stack of factor[e] * A_e), each product checked finite before it
+    reaches an exponential."""
     out = []
-    for edges in problem.graph.dim_groups().values():
+    for edges, A in problem.operator_groups:
         scale = np.array([factor[e] for e in edges], dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            S = scale[:, None, None] * problem.operator_stack(edges)
+            S = scale[:, None, None] * A
         _require_finite(problem, edges, (what, S))
-        out.append((edges, S))
+        out.append((edges, A, S))
     return out
 
 
@@ -230,8 +226,6 @@ def _per_distinct(fn, S):
             slot[key] = len(first)
             first.append(k)
         inverse.append(slot[key])
-    if len(first) == len(S):
-        return fn(S)
     out = fn(S[first])
     if isinstance(out, tuple):
         return tuple(x[inverse] for x in out)
@@ -252,7 +246,7 @@ def assemble_monodromy(problem):
     gr = problem.graph
     off = gr.offsets()
     propagators = {}
-    for edges, tA in _exponents(problem, gr.lengths,
+    for edges, _, tA in _exponents(problem, gr.lengths,
                                 lambda e: "the exponent length A"):
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = _per_distinct(matfun.expm, tA)
@@ -276,20 +270,13 @@ def assemble_monodromy(problem):
 
 
 @dataclass(frozen=True)
-class EdgeRecurrence:
-    """One edge's recurrence x[k+1] = Eh x[k] + b[k]."""
-
-    Eh: np.ndarray  # e^{hA}
-    b: np.ndarray   # (steps, dim) increments from the forcing
-    f: np.ndarray   # (steps + 1, dim) forcing at the grid nodes
-
-
-@dataclass(frozen=True)
 class Chunk:
-    """One edge chunk's recurrences and grid, stacked along a leading edge
-    axis."""
+    """One edge chunk's operators, recurrences x[k+1] = Eh x[k] + b[k] and
+    grid, stacked along a leading edge axis: the one per-edge record of a
+    solve."""
 
     edges: list         # edge ids, in graph order
+    A: np.ndarray       # (edges, dim, dim) the edge operators
     Eh: np.ndarray      # (edges, dim, dim) e^{hA}
     b: np.ndarray       # (edges, steps, dim) increments from the forcing
     f: np.ndarray       # (edges, steps + 1, dim) forcing at the grid nodes
@@ -297,15 +284,17 @@ class Chunk:
 
 
 def edge_recurrences(problem):
-    """The problem's edge chunks, each a Chunk of step operators,
-    increments, node forcing and grid times.
+    """The problem's edge chunks, each a Chunk of operators (a slice of
+    problem.operator_groups), step operators, increments, node forcing and
+    grid times.
 
     The layout comes from one edge_chunks call, and every later stage
     reads it from here.  The (e^{hA}, phi1(hA), phi2(hA)) triples of all
     edges of one dimension come from one stacked augmented exponential,
-    taken once per distinct hA.  The forcing is sampled here, once per edge
-    and solve, and every later consumer reads it.  A chunk's increments
-    come from one stacked product, and its grid from one linspace.
+    taken once per distinct hA.  The node forcing is written here, once
+    per edge and solve, straight from the specs: a sampled spec's values
+    are its node values.  A chunk's increments come from one stacked
+    product, and its grid from one linspace.
     """
     gr = problem.graph
     h = {e: float(gr.lengths[e]) / problem.steps_for(e) for e in gr.edges}
@@ -313,22 +302,27 @@ def edge_recurrences(problem):
     def step(e):
         return f"a step operator for h = {h[e]!r}"
 
-    triples = {}  # edge -> (dim group's stacked triple, index in the group)
-    for edges, hA in _exponents(problem, h, lambda e: f"the exponent h A "
-                                f"for h = {h[e]!r}"):
+    stacks = {}  # edge -> (dim group's A and triple stacks, index in group)
+    for edges, A, hA in _exponents(problem, h, lambda e: f"the exponent h A "
+                                   f"for h = {h[e]!r}"):
         with np.errstate(over="ignore", invalid="ignore"):
             triple = _per_distinct(matfun.expm_phi12, hA)
         _require_finite(problem, edges, *((step, x) for x in triple))
-        triples.update((e, (triple, k)) for k, e in enumerate(edges))
+        stacks.update((e, ((A, *triple), k)) for k, e in enumerate(edges))
     chunks = []
     for chunk in edge_chunks(problem):
         # a chunk is a run of consecutive edges of its dim group
-        triple, k = triples[chunk[0]]
-        Eh, P1, P2 = (x[k:k + len(chunk)] for x in triple)
+        group, k = stacks[chunk[0]]
+        A, Eh, P1, P2 = (x[k:k + len(chunk)] for x in group)
         hs = np.array([h[e] for e in chunk])[:, None, None]
         steps = problem.steps_for(chunk[0])
-        f = np.concatenate([forcing_node_values(problem, e) for e in chunk]
-                           ).reshape(len(chunk), steps + 1, -1)
+        f = np.zeros((len(chunk), steps + 1, A.shape[-1]), dtype=complex)
+        for fe, e in zip(f, chunk):
+            spec = problem.forcing.spec_for(e)
+            if isinstance(spec, ConstantForcing):
+                fe[:] = spec.value
+            elif isinstance(spec, SampledForcing):
+                fe[:] = spec.values
         with np.errstate(over="ignore", invalid="ignore"):
             b = (f[:, :-1] @ _mT(hs * P1)
                  + (f[:, 1:] - f[:, :-1]) @ _mT(hs * P2))
@@ -336,7 +330,7 @@ def edge_recurrences(problem):
                                          f"for h = {h[e]!r}", b))
         times = np.linspace(0.0, [float(gr.lengths[e]) for e in chunk],
                             steps + 1, axis=-1)
-        chunks.append(Chunk(chunk, Eh, b, f, times))
+        chunks.append(Chunk(chunk, A, Eh, b, f, times))
     return tuple(chunks)
 
 
@@ -452,7 +446,7 @@ def energy_defect_of(problem, chunks, states):
     minus_sq = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk, X in zip(chunks, states):
-            deriv = X @ _mT(problem.operator_stack(chunk.edges)) + chunk.f
+            deriv = X @ _mT(chunk.A) + chunk.f
             values = np.real(np.sum(np.conj(X) * deriv, axis=-1))
             terms = np.stack([
                 _composite_simpson(values,

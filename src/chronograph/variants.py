@@ -163,7 +163,7 @@ def second_order_solve(p: SecondOrderProblem):
 _ENTRYWISE_TOL = 1e-12
 
 
-def _is_real_problem(problem, recurrences):
+def _is_real_problem(problem, chunks):
     if any(np.max(np.abs(problem.operator(e).imag)) > 0.0
            for e in problem.graph.edges):
         return False
@@ -171,8 +171,8 @@ def _is_real_problem(problem, recurrences):
         return False
     if any(np.max(np.abs(v.imag)) > 0.0 for v in problem.g.values()):
         return False
-    return not any(np.max(np.abs(rec.f.imag), initial=0.0) > 0.0
-                   for rec in recurrences.values())
+    return not any(np.max(np.abs(chunk.f.imag), initial=0.0) > 0.0
+                   for chunk in chunks)
 
 
 def _metzler(A):
@@ -209,7 +209,7 @@ def verify_mapping_properties(report, problem, strict=False):
     failed = []
 
     real_defect = None
-    if _is_real_problem(problem, report.recurrences):
+    if _is_real_problem(problem, report.chunks):
         real_defect = max(
             float(np.max(np.abs(report.solutions[e].states.imag)))
             for e in gr.edges)
@@ -237,17 +237,18 @@ def verify_mapping_properties(report, problem, strict=False):
         g_vec = stack_edge_values(gr, problem.g)
         if np.min(g_vec.real) < 0.0:
             failed.append("g_nonnegative")
-        for e, rec in report.recurrences.items():
-            if np.min(rec.f.real, initial=0.0) < 0.0:
-                failed.append(f"f_nonnegative[{e!r}]")
-                break
+        negative = [e for chunk in report.chunks
+                    for e, f in zip(chunk.edges, chunk.f)
+                    if np.min(f.real, initial=0.0) < 0.0]
+        if negative:
+            failed.append(f"f_nonnegative[{negative[0]!r}]")
 
     # sup bound from the solved operators' norms: propagator sup (over grid
     # nodes), boundary inverse, transmission norm
     amax = max(float(gr.lengths[e]) for e in gr.edges)
     Emax = max(float(np.max(np.sum(np.abs(
-        _step_powers(rec.Eh, problem.steps_for(e))), axis=-1)))
-        for e, rec in report.recurrences.items())
+        _step_powers(Eh, chunk.b.shape[1])), axis=-1)))
+        for chunk in report.chunks for Eh in chunk.Eh)
     Minv_norm = float(np.linalg.norm(Minv, np.inf))
     # ||B||_inf: the largest absolute row sum, the rows of each receiving
     # edge summed over the blocks that feed it
@@ -257,8 +258,8 @@ def verify_mapping_properties(report, problem, strict=False):
     B_inf = max((float(np.max(r)) for r in row_sums.values()), default=0.0)
     g_inf = float(np.max(np.abs(stack_edge_values(gr, problem.g)),
                          initial=0.0))
-    f_inf = max(float(np.max(np.abs(rec.f), initial=0.0))
-                for rec in report.recurrences.values())
+    f_inf = max(float(np.max(np.abs(chunk.f), initial=0.0))
+                for chunk in report.chunks)
     bound = (Emax * Minv_norm * (g_inf + B_inf * amax * Emax * f_inf)
              + amax * Emax * f_inf)
     observed = max(float(np.max(np.abs(report.solutions[e].states)))

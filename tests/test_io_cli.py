@@ -226,7 +226,7 @@ def test_solution_csv_matches_per_value_writer_on_edge_values():
                      [-math.inf * 1j, 0.1 + 1j / 3, -7.0]])
     narrow = np.array([[-0.0], [tiny], [complex(-math.inf, 1.0)]])
     times = np.array([[-0.0, 0.5, 1.0]])
-    chunks = tuple(solver.Chunk([e], None, None, None, times)
+    chunks = tuple(solver.Chunk([e], None, None, None, None, times)
                    for e in ("a%d%%s", 7))
     mono = solver.Monodromy(np.eye(4), 1.0, 1.0, {}, None)
     rep = solver.SolveReport(("a%d%%s", 7), 0.0, 0.0, 0.0, 0.0, mono,
@@ -600,6 +600,17 @@ def test_cli_scenario_rejects_a_size_below_one(tmp_path, capsys, override):
         f"error: override {key!r} must be >= 1, got {value}\n"
 
 
+def test_cli_scenario_names_a_dim_too_large_to_build(tmp_path, capsys):
+    # 10^7 x 10^7 float matrices are 728 TiB each, beyond the 47-bit address
+    # space, so the allocation is refused whatever the overcommit setting
+    assert cli.main(["scenario", "frequency_shift", "--set", "dim=10000000",
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: override 'dim': the 10000000 x 10000000 matrices of "
+        "scenario 'frequency_shift' do not fit in memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("preset_id, override, message", [
     ("periodic", "steps=1e3", "override 'steps': '1e3' is not an integer"),
     ("phase_shift", "alpha=two", "override 'alpha': 'two' is not a number")])
@@ -679,7 +690,10 @@ def test_cli_compare_within_tolerance(tmp_path):
     ("--cn-steps", "0"),
     # 10^15 + 1 grid times are 7.1 PiB, beyond the 47-bit address space,
     # so the allocation is refused whatever the overcommit setting
-    ("--cn-steps", str(10 ** 15))])
+    ("--cn-steps", str(10 ** 15)),
+    # 10^19 x 16 bytes of states exceed the largest size numpy can index,
+    # so the grid is refused before anything is allocated
+    ("--cn-steps", str(10 ** 19))])
 def test_cli_compare_rejects_an_unusable_option(tmp_path, capsys, option,
                                                 value):
     path = make_problem_file(tmp_path, MINIMAL)

@@ -13,7 +13,7 @@ import chronograph
 
 SRC = pathlib.Path(chronograph.__file__).parent
 
-OPTION_COUNT = 32
+OPTION_COUNT = 31
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

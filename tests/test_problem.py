@@ -92,12 +92,13 @@ def test_forcing_node_values_constant_and_zero(monkeypatch):
         raise AssertionError("edge grid built")
 
     monkeypatch.setattr(TimeGraphProblem, "times", no_grid)
+    nodes = np.linspace(0.0, 1.0, 5)
     p = scalar_problem(steps=4)
-    vals = forcing_node_values(p, 0)
+    vals = forcing_node_values(p, 0, nodes)
     assert vals.shape == (5, 1)
     assert np.all(vals == 1.0)
     z = scalar_problem(f=None, steps=4)
-    vals = forcing_node_values(z, 0)
+    vals = forcing_node_values(z, 0, nodes)
     assert vals.shape == (5, 1)
     assert np.all(vals == 0.0)
 

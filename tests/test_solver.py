@@ -197,7 +197,7 @@ def sequential_states(problem, edge, start):
     K = problem.steps_for(edge)
     h = float(problem.graph.lengths[edge]) / K
     Eh, P1, P2 = matfun.expm_phi12(h * problem.operator(edge))
-    f = forcing_node_values(problem, edge)
+    f = forcing_node_values(problem, edge, problem.times(edge))
     states = np.empty((K + 1, len(start)), dtype=complex)
     states[0] = start
     for k in range(K):
@@ -430,7 +430,8 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     svd_shapes = []
     inverted = []
     eig_calls = []
-    forcing_edges = collections.Counter()
+    forcing_calls = []
+    operator_stacks = []
     diagnostic_stages = collections.defaultdict(list)
     lanczos_stages = []
 
@@ -470,10 +471,17 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
         eig_calls.append(np.shape(A))
         return _eig(A)
 
-    def counted_forcing(problem, edge, *args,
-                        _fnv=problem_module.forcing_node_values, **kwargs):
-        forcing_edges[edge] += 1
-        return _fnv(problem, edge, *args, **kwargs)
+    def counted_forcing(problem, edge, times,
+                        _fnv=problem_module.forcing_node_values):
+        forcing_calls.append((stage[-1], edge, np.array(times)))
+        return _fnv(problem, edge, times)
+
+    operator_groups = TimeGraphProblem.__dict__["operator_groups"]
+
+    def counted_groups(problem, _groups=operator_groups.func):
+        groups = _groups(problem)
+        operator_stacks.extend(A.shape for _, A in groups)
+        return groups
 
     def staged(name, fn):
         def wrapper(*args, **kwargs):
@@ -484,6 +492,7 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     monkeypatch.setattr(matfun, "expm", counted_expm)
     monkeypatch.setattr(matfun, "hermitian_eig", counted_eig)
     monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded_lanczos)
+    monkeypatch.setattr(operator_groups, "func", counted_groups)
     for name in ("assemble_monodromy", "edge_recurrences"):
         monkeypatch.setattr(solver, name,
                             in_stage(name, getattr(solver, name)))
@@ -507,9 +516,14 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
                             recorded(name, getattr(scipy.linalg, name)))
 
     assert cli.run_solve(str(path), str(tmp_path)) == 0
-    # the forcing is sampled once per edge and solve, and every consumer
-    # reads those samples
-    assert forcing_edges == collections.Counter(range(n))
+    # the solve writes the node forcing straight from the specs: nothing
+    # is sampled
+    assert forcing_calls == []
+    # each dim group's operators are stacked once, and every stacked
+    # consumer reads that stack
+    dims = collections.Counter(edge["dim"] for edge in doc["edges"])
+    group_stacks = sorted((count, d, d) for d, count in dims.items())
+    assert sorted(operator_stacks) == group_stacks
     # one stacked exponential per stage and dim group (expm_phi12's
     # augmented matrices are 3d x 3d), none anywhere else
     solve_expms = collections.Counter(
@@ -538,11 +552,22 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     expm_calls.clear()
     svd_shapes.clear()
     diagnostic_stages.clear()
+    operator_stacks.clear()
     assert cli.run_compare(str(path), {"cn_steps": 40, "tol": 1e-2,
                                        "out": str(tmp_path)}) == 0
-    assert json.loads((tmp_path / "compare.json").read_text())["picard"] \
-        == {"converged": True}
+    compared = json.loads((tmp_path / "compare.json").read_text())
+    assert compared["picard"] == {"converged": True}
     assert expm_calls == solve_expms
+    assert sorted(operator_stacks) == group_stacks
+    # the reference samples each edge's forcing at its own fine and
+    # coarse grid nodes, and nothing else samples it
+    fine = compared["cn_steps"]
+    lengths = {edge["id"]: edge["length"] for edge in doc["edges"]}
+    assert sorted((where, e, len(t) - 1) for where, e, t in forcing_calls) \
+        == sorted(("cn_solve", e, N) for e in range(n)
+                  for N in (fine, fine // 2))
+    for _, e, t in forcing_calls:
+        assert t.tobytes() == np.linspace(0.0, lengths[e], len(t)).tobytes()
     assert square_svds() == [(size, size)] * (2 + dense_side)
     assert diagnostic_stages == {name: [None] for name in diagnostics}
 
@@ -552,10 +577,10 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     expm_calls.clear()
     svd_shapes.clear()
     inverted.clear()
-    forcing_edges.clear()
+    forcing_calls.clear()
     variants.verify_mapping_properties(report, problem)
     assert expm_calls == collections.Counter()
-    assert forcing_edges == collections.Counter()
+    assert forcing_calls == []
     assert square_svds() == []
     assert inverted == [("inv", (size, size))]
 

@@ -204,7 +204,7 @@ def dense_unitarity_check(p):
             f"||[B, e^(iaH)]|| = {comm:.3e} exceeds tolerance")
     defect = float(np.linalg.norm(B @ B - 2.0 * B @ aH_cos, 2))
     M = np.eye(gr.size(), dtype=complex) - B @ E_phase
-    Minv, _ = matfun.solve_linear(M, np.eye(gr.size(), dtype=complex))
+    Minv = scipy.linalg.solve(M, np.eye(gr.size(), dtype=complex))
     op_defect = 0.0
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         phase_t = _blockdiag(gr, {
@@ -538,13 +538,12 @@ def dense_verify_mapping_properties(report, problem):
     the step operators and inverted I - B E twice, kept as the reference for
     the version that reads the solve's own."""
     gr = problem.graph
-    recurrences = {e: solver.EdgeRecurrence(*x)
-                   for chunk in solver.edge_recurrences(problem)
-                   for e, x in zip(chunk.edges,
-                                   zip(chunk.Eh, chunk.b, chunk.f))}
+    chunks = solver.edge_recurrences(problem)
+    step_operators = {e: Eh for chunk in chunks
+                      for e, Eh in zip(chunk.edges, chunk.Eh)}
     failed = []
     real_defect = None
-    if variants._is_real_problem(problem, recurrences):
+    if variants._is_real_problem(problem, chunks):
         real_defect = max(
             float(np.max(np.abs(report.solutions[e].states.imag)))
             for e in gr.edges)
@@ -563,13 +562,14 @@ def dense_verify_mapping_properties(report, problem):
     mono = solver.assemble_monodromy(problem)
     positivity_defect = None
     if operators_ok:
-        try:
-            Minv, _ = matfun.solve_linear(mono.M, np.eye(gr.size(),
-                                                         dtype=complex))
-        except matfun.SingularMatrix:
+        # the sigma_min / sigma_max gate the helper then in use applied
+        sv = scipy.linalg.svdvals(mono.M)
+        if sv[0] == 0.0 or sv[-1] / sv[0] < 1e-14:
             failed.append("monodromy_invertible")
             operators_ok = False
         else:
+            Minv = scipy.linalg.solve(mono.M,
+                                      np.eye(gr.size(), dtype=complex))
             if np.min(Minv.real) < -tol:
                 failed.append("inverse_entrywise_nonnegative")
                 operators_ok = False
@@ -581,19 +581,20 @@ def dense_verify_mapping_properties(report, problem):
         if np.min(stack_edge_values(gr, problem.g).real) < 0.0:
             failed.append("g_nonnegative")
         for e in gr.edges:
-            if np.min(forcing_node_values(problem, e).real, initial=0.0) < 0.0:
+            f = forcing_node_values(problem, e, problem.times(e))
+            if np.min(f.real, initial=0.0) < 0.0:
                 failed.append(f"f_nonnegative[{e!r}]")
                 break
     amax = max(float(gr.lengths[e]) for e in gr.edges)
     Emax = max(float(np.max(np.sum(np.abs(
-        variants._step_powers(rec.Eh, problem.steps_for(e))), axis=-1)))
-        for e, rec in recurrences.items())
+        variants._step_powers(Eh, problem.steps_for(e))), axis=-1)))
+        for e, Eh in step_operators.items())
     Minv_norm = float(np.linalg.norm(np.linalg.inv(mono.M), np.inf))
     B_inf = float(np.linalg.norm(B, np.inf))
     g_inf = float(np.max(np.abs(stack_edge_values(gr, problem.g)),
                          initial=0.0))
-    f_inf = max(float(np.max(np.abs(forcing_node_values(problem, e)),
-                             initial=0.0)) for e in gr.edges)
+    f_inf = max(float(np.max(np.abs(forcing_node_values(
+        problem, e, problem.times(e))), initial=0.0)) for e in gr.edges)
     bound = (Emax * Minv_norm * (g_inf + B_inf * amax * Emax * f_inf)
              + amax * Emax * f_inf)
     observed = max(float(np.max(np.abs(report.solutions[e].states)))
