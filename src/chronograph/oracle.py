@@ -11,6 +11,7 @@ are reproducible from the command line.
 
 import numpy as np
 import scipy.linalg as la
+from numpy import matvec
 
 from . import matfun, solver
 from .problem import forcing_node_values, stack_edge_values, validate
@@ -36,27 +37,16 @@ PICARD_TOL = 1e-12
 BRUTE_FORCE_MAX_N = 8
 
 
-def _cn_edge_maps(A, a, f):
-    """One-step Crank-Nicolson map P of one edge, and the forcing term
-    r[k] = W (f[k] + f[k+1]) of every step for the node forcing f."""
-    d = A.shape[0]
-    h = float(a) / (len(f) - 1)
-    L = np.eye(d, dtype=complex) - 0.5 * h * A
-    lu = la.lu_factor(L)
-    P = la.lu_solve(lu, np.eye(d, dtype=complex) + 0.5 * h * A)
-    W = la.lu_solve(lu, 0.5 * h * np.eye(d, dtype=complex))
-    return P, (W @ (f[:-1] + f[1:])[..., None])[..., 0]
-
-
 def cn_solve(problem, steps_per_edge):
     """Crank-Nicolson trajectories of the coupled problem, sharing no code
     with the exponential path: {edge id: EdgeSolution} in graph order.
 
-    Per-edge trapezoidal one-step maps are composed into a discrete terminal
-    propagator P^N; the same boundary equation (I - B E~) c = g + B F~ is
-    then solved, with I - B E~ built block by block, and the trajectory
-    re-propagated on the fine grid.  Second order accurate in the step size.
-    A numerically singular I - B E~ raises NotWellPosed.
+    Per dim group, trapezoidal one-step maps P and forcing terms
+    r[k] = W (f[k] + f[k+1]) step one (edges, N + 1, dim) stack,
+    x[k+1] = P x[k] + r[k], one stacked mat-vec per step: from zero for F~,
+    then from the c solving (I - B E~) c = g + B F~, with E~ = P^N and
+    I - B E~ built block by block.  Second order accurate in the step
+    size.  A numerically singular I - B E~ raises NotWellPosed.
     """
     violations = validate(problem)
     if violations:
@@ -65,19 +55,27 @@ def cn_solve(problem, steps_per_edge):
     N = int(steps_per_edge)
     off = gr.offsets()
 
-    maps = {}
+    groups = []
     terminal = {}
     F_parts = {}
-    for e in gr.edges:
-        times = np.linspace(0.0, float(gr.lengths[e]), N + 1)
-        P, r = _cn_edge_maps(problem.operator(e), gr.lengths[e],
-                             forcing_node_values(problem, e, times))
-        maps[e] = (P, times, r)
-        terminal[e] = np.linalg.matrix_power(P, N)
-        u = np.zeros(gr.dims[e], dtype=complex)
-        for k in range(N):
-            u = P @ u + r[k]
-        F_parts[e] = u
+    for edges, A in problem.operator_groups:
+        h = np.array([float(gr.lengths[e]) for e in edges])[:, None, None] / N
+        I = np.eye(A.shape[-1], dtype=complex)
+        lu = la.lu_factor(I - 0.5 * h * A)
+        P = la.lu_solve(lu, I + 0.5 * h * A)
+        W = la.lu_solve(lu, 0.5 * h * I)
+        times = [np.linspace(0.0, float(gr.lengths[e]), N + 1) for e in edges]
+        x = np.empty((len(edges), N + 1, A.shape[-1]), dtype=complex)
+        for i, e in enumerate(edges):
+            f = forcing_node_values(problem, e, times[i])
+            x[i, 1:] = matvec(W[i], f[:-1] + f[1:])
+        # both step loops iterate over node views: cheaper than indexing x
+        u = np.zeros_like(x[:, 0])
+        for r in x.swapaxes(0, 1)[1:]:
+            u = matvec(P, u) + r
+        terminal.update(zip(edges, np.linalg.matrix_power(P, N)))
+        F_parts.update(zip(edges, u))
+        groups.append((edges, times, P, x))
 
     M = np.eye(gr.size(), dtype=complex)
     for (i, j), m in problem.B.blocks.items():
@@ -87,18 +85,18 @@ def cn_solve(problem, steps_per_edge):
     if rcond < solver.SINGULAR_RCOND:
         raise NotWellPosed(rcond)
     g = stack_edge_values(gr, problem.g)
-    F_tilde = np.concatenate([F_parts[e] for e in gr.edges])
+    F_tilde = stack_edge_values(gr, F_parts)
     c = np.linalg.solve(M, g + problem.B.apply(gr, F_tilde))
 
     solutions = {}
-    for e in gr.edges:
-        P, times, r = maps.pop(e)  # frees each edge's forcing terms early
-        states = np.empty((N + 1, gr.dims[e]), dtype=complex)
-        states[0] = c[off[e]:off[e] + gr.dims[e]]
-        for k in range(N):
-            states[k + 1] = P @ states[k] + r[k]
-        solutions[e] = EdgeSolution(e, times, states)
-    return solutions
+    for edges, times, P, x in groups:
+        x[:, 0] = [c[off[e]:off[e] + gr.dims[e]] for e in edges]
+        prev = x[:, 0]
+        for nxt in x.swapaxes(0, 1)[1:]:
+            nxt += matvec(P, prev)
+            prev = nxt
+        solutions.update(zip(edges, map(EdgeSolution, edges, times, x)))
+    return {e: solutions[e] for e in gr.edges}
 
 
 def picard_boundary(problem, report):

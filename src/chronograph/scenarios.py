@@ -7,6 +7,7 @@ edge length, constant forcing 1 and 100 substeps.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -45,13 +46,25 @@ def _scalar_blocks(entries):
 _ONLY_FOR = {"alpha": "phase_shift", "dim": "frequency_shift"}
 
 
+def _pop(overrides, key, default, kind, noun):
+    """overrides[key], removed from overrides, or default when it is not
+    given; a value that is not of kind, or is a bool, is refused."""
+    if key not in overrides:
+        return default
+    value = overrides.pop(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"override {key!r}: {value!r} is not {noun}")
+    return value
+
+
 def build_scenario(scenario_id, overrides=None):
     """Materialize one preset as a problem-file document.
 
     Recognized overrides: alpha (phase_shift weight), dim (frequency_shift
-    mode count), steps (substeps applied to every edge); alpha is finite,
-    dim and steps are at least 1.  An override the chosen preset does not
-    read is rejected, not ignored.
+    mode count), steps (substeps applied to every edge); alpha is a finite
+    real number, dim and steps are integers of at least 1, and a bool is
+    neither.  An override the chosen preset does not read is rejected, not
+    ignored.
     """
     if scenario_id not in SCENARIO_IDS:
         raise KeyError(f"unknown scenario {scenario_id!r}")
@@ -60,16 +73,16 @@ def build_scenario(scenario_id, overrides=None):
         if _ONLY_FOR[key] != scenario_id:
             raise ValueError(f"override {key!r} does not apply to scenario "
                              f"{scenario_id!r} (only to {_ONLY_FOR[key]})")
-    alpha = float(overrides.pop("alpha", 2.0))
-    dim = int(overrides.pop("dim", 8))
-    steps = overrides.pop("steps", None)
+    alpha = float(_pop(overrides, "alpha", 2.0, numbers.Real, "a number"))
+    dim = int(_pop(overrides, "dim", 8, numbers.Integral, "an integer"))
+    steps = _pop(overrides, "steps", None, numbers.Integral, "an integer")
     if overrides:
         raise ValueError(f"unknown overrides: {sorted(overrides)}")
     if not math.isfinite(alpha):
         raise ValueError(f"override 'alpha' must be a finite number, "
                          f"got {alpha}")
     for key, value in (("dim", dim), ("steps", steps)):
-        if value is not None and int(value) < 1:
+        if value is not None and value < 1:
             raise ValueError(f"override {key!r} must be >= 1, got {value}")
 
     if scenario_id == "periodic":

@@ -623,6 +623,20 @@ def test_cli_scenario_rejects_an_override_it_cannot_cast(tmp_path, capsys,
     assert not (tmp_path / "problem.json").exists()
 
 
+@pytest.mark.parametrize("preset_id, overrides, message", [
+    ("frequency_shift", {"dim": None}, "'dim': None is not an integer"),
+    ("phase_shift", {"alpha": None}, "'alpha': None is not a number"),
+    ("frequency_shift", {"dim": 2.5}, "'dim': 2.5 is not an integer"),
+    ("periodic", {"steps": 2.5}, "'steps': 2.5 is not an integer"),
+    ("periodic", {"steps": True}, "'steps': True is not an integer"),
+    ("phase_shift", {"alpha": "x"}, "'alpha': 'x' is not a number")])
+def test_run_scenario_refuses_an_override_of_the_wrong_type(
+        tmp_path, capsys, preset_id, overrides, message):
+    assert cli.run_scenario(preset_id, overrides, out_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: override {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_cli_scenario_rejects_a_non_finite_alpha(tmp_path, capsys, value):
     assert cli.main(["scenario", "phase_shift", "--set", f"alpha={value}",
@@ -703,6 +717,22 @@ def test_cli_compare_rejects_an_unusable_option(tmp_path, capsys, option,
     assert not (tmp_path / "compare.json").exists()
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"tol": None}, "tol (--tol): None is not a finite number >= 0"),
+    ({"tol": "x"}, "tol (--tol): 'x' is not a finite number >= 0"),
+    ({"tol": True}, "tol (--tol): True is not a finite number >= 0"),
+    ({"cn_steps": [3]}, "cn_steps (--cn-steps): [3] is not an integer"),
+    ({"cn_steps": 2.5}, "cn_steps (--cn-steps): 2.5 is not an integer"),
+    ({"cn_steps": True}, "cn_steps (--cn-steps): True is not an integer"),
+    ({"cn_steps": "abc"}, "cn_steps (--cn-steps): 'abc' is not an integer")])
+def test_run_compare_refuses_an_option_of_the_wrong_type(tmp_path, capsys,
+                                                         cfg, message):
+    path = make_problem_file(tmp_path, MINIMAL)
+    assert cli.run_compare(path, dict(cfg, out=str(tmp_path))) == 1
+    assert capsys.readouterr().err == f"error: compare option {message}\n"
+    assert not (tmp_path / "compare.json").exists()
+
+
 def test_cli_compare_breach_exits_three(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["blocks"][0]["matrix"] = [[2.0]]  # no longer the exact steady state
@@ -737,6 +767,9 @@ def test_importable_entry_points(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
     assert cli.run_compare(path, {"cn_steps": 400,
+                                  "out": str(tmp_path)}) == 0
+    assert cli.run_compare(path, {"cn_steps": np.int64(400),
+                                  "tol": np.float64(1e-6),
                                   "out": str(tmp_path)}) == 0
     assert "convergence_order" in json.loads(
         (tmp_path / "compare.json").read_text())

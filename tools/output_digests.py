@@ -8,7 +8,9 @@ digest builds the inputs of perfbench.workloads.build in a temporary
 directory (the presets workload at seed 0, compare included; long_horizon,
 wide_state and large_graph at seeds 0 and 1), runs each distinct request
 once, in list order, through perfbench.verbs.run_request with one BLAS
-thread, and writes {key: sha256} as JSON. A key is
+thread, then runs chronograph.run_compare at LARGE_COMPARE_CFG on each
+large_graph document (the 600-edge chain and ring), and writes
+{key: sha256} as JSON. A key is
 
     <workload>/<seed>/<verb> <target>/<output file>
 
@@ -23,7 +25,9 @@ exits 1 when there is one, else 0.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -33,6 +37,10 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 RUNS = (("presets", 0), ("long_horizon", 0), ("long_horizon", 1),
         ("wide_state", 0), ("wide_state", 1),
         ("large_graph", 0), ("large_graph", 1))
+# No benchmark request runs the Crank-Nicolson oracle on more than one
+# preset's few edges; compare on large_graph's documents runs it on 600-edge
+# dim groups, and 200 reference steps keep each run to seconds.
+LARGE_COMPARE_CFG = {"cn_steps": 200}
 OUTPUT_FILES = {
     "scenario": ("problem.json", "solution.csv", "report.json"),
     "solve": ("solution.csv", "report.json"),
@@ -51,21 +59,36 @@ def digests(checkout):
         os.environ[var] = "1"
     for sub in ("src", "perfbench"):
         sys.path.insert(0, os.path.join(checkout, sub))
+    import chronograph
     import workloads
     from verbs import run_request
+
+    def large_compare(request):
+        _, target, out_dir = request
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = chronograph.run_compare(
+                target, dict(LARGE_COMPARE_CFG, out=out_dir))
+        return code, buf.getvalue()
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seed in RUNS:
             root = os.path.join(tmp, f"{workload}-{seed}")
             requests, _, _ = workloads.build(workload, seed, root)
+            runs = [(request, run_request)
+                    for request in dict.fromkeys(requests)]
+            if workload == "large_graph":
+                runs += [(("compare", target, out_dir), large_compare)
+                         for verb, target, out_dir in dict.fromkeys(requests)
+                         if verb == "solve"]
 
             def rel(x):
                 return os.path.relpath(x, root) if isinstance(x, str) else x
 
-            for request in dict.fromkeys(requests):
+            for request, run in runs:
                 verb, target, out_dir = request
-                code, stdout = run_request(request)
+                code, stdout = run(request)
                 key = f"{workload}/{seed}/{verb} {rel(target)}"
                 out[f"{key}/exit+stdout"] = _sha(
                     repr((code, stdout.replace(root, "<root>"))).encode())
