@@ -473,7 +473,7 @@ def problem_to_dict(problem, mode, options):
             "id": e,
             "length": float(gr.lengths[e]),
             "dim": int(gr.dims[e]),
-            "A": [[_real(x) for x in row] for row in problem.operator(e)],
+            "A": _real_lists(problem.operator(e)),
             "steps": problem.steps_for(e),
         }
         spec = problem.forcing.spec_for(e)
@@ -481,17 +481,15 @@ def problem_to_dict(problem, mode, options):
             entry["f"] = {"kind": "zero"}
         elif isinstance(spec, ConstantForcing):
             entry["f"] = {"kind": "constant",
-                          "value": [_real(x) for x in spec.value]}
+                          "value": _real_lists(spec.value)}
         else:
             entry["f"] = {"kind": "samples",
-                          "value": [[_real(x) for x in row]
-                                    for row in spec.values]}
+                          "value": _real_lists(spec.values)}
         if e in problem.g:
-            entry["g"] = [_real(x) for x in problem.g[e]]
+            entry["g"] = _real_lists(problem.g[e])
         edges.append(entry)
     pos = {e: k for k, e in enumerate(gr.edges)}
-    blocks = [{"from": j, "to": i,
-               "matrix": [[_real(x) for x in row] for row in m]}
+    blocks = [{"from": j, "to": i, "matrix": _real_lists(m)}
               for (i, j), m in sorted(problem.B.blocks.items(),
                                       key=lambda kv: (pos[kv[0][0]],
                                                       pos[kv[0][1]]))]
@@ -501,11 +499,12 @@ def problem_to_dict(problem, mode, options):
     return doc
 
 
-def _real(x):
-    x = complex(x)
-    if x.imag != 0.0:
+def _real_lists(a):
+    """The real parts of a complex array as nested lists of floats; an
+    entry with a nonzero imaginary part is refused."""
+    if a.imag.any():
         raise ValueError("problem files carry real data only")
-    return x.real
+    return a.real.tolist()
 
 
 def format_number(x):
@@ -601,24 +600,40 @@ def solution_csv(report):
     """Trajectories as CSV: edge_id, t, then real and imaginary components.
 
     Column count is fixed by the largest edge dimension; lower-dimensional
-    edges leave the surplus fields empty.  Each of the report's edge chunks
-    is written by one %-format call over a row template, straight from the
-    chunk's times and state stack; the fields read as format_number would
-    write them (adding 0.0 turns -0.0 into 0.0, printed "0").
+    edges leave the surplus fields empty.  Every field reads as
+    format_number would write it: 17 significant digits, and an exact zero
+    (-0.0 too) is "0".
+
+    The cost follows the nonzero values.  Each distinct time grid is
+    formatted once per report, and its strings are joined into the row
+    template of every edge on it.  A state column that is zero throughout
+    a chunk is the literal "0" in the template; the chunk's other columns
+    are filled in by one %-format call.
     """
     dmax = max(X.shape[-1] for X in report.states)
     header = (["edge_id", "t"]
               + [f"re_{k}" for k in range(dmax)]
               + [f"im_{k}" for k in range(dmax)])
     parts = [",".join(header) + "\n"]
+    grids = {}  # bytes of a time row -> its formatted nodes
     for chunk, X in zip(report.chunks, report.states):
         _, rows, d = X.shape
         states = X.reshape(-1, d)
-        part = ",%.17g" * d + "," * (dmax - d)
-        template = "".join(
-            (str(e).replace("%", "%%") + ",%.17g" + part + part + "\n") * rows
-            for e in chunk.edges)
-        values = np.column_stack([
-            chunk.times.reshape(-1), states.real, states.imag]) + 0.0
-        parts.append(template % tuple(values.ravel().tolist()))
+        values = np.concatenate((states.real, states.imag), axis=1)
+        nonzero = values.any(axis=0)
+        pad = "," * (dmax - d)
+        fields = [",%.17g" if nz else ",0" for nz in nonzero]
+        tail = "".join(fields[:d]) + pad + "".join(fields[d:]) + pad + "\n"
+        if not nonzero.all():
+            values = values[:, nonzero]
+        values += 0.0  # -0.0 prints "-0"; format_number writes "0"
+        edges = []
+        for e, t in zip(chunk.edges, chunk.times + 0.0):
+            key = t.tobytes()
+            if key not in grids:
+                nodes = "%.17g," * rows % tuple(t.tolist())
+                grids[key] = nodes.split(",")[:-1]
+            lead = str(e).replace("%", "%%") + ","
+            edges.append(lead + (tail + lead).join(grids[key]) + tail)
+        parts.append("".join(edges) % tuple(values.ravel().tolist()))
     return "".join(parts)

@@ -42,6 +42,7 @@ def _scalar_blocks(entries):
     return [_block(i, j, [[float(w)]]) for (i, j), w in entries.items()]
 
 
+_OVERRIDE_KEYS = ("alpha", "dim", "steps")
 # Overrides that only one preset reads; steps applies to every preset.
 _ONLY_FOR = {"alpha": "phase_shift", "dim": "frequency_shift"}
 
@@ -63,12 +64,16 @@ def build_scenario(scenario_id, overrides=None):
     Recognized overrides: alpha (phase_shift weight), dim (frequency_shift
     mode count), steps (substeps applied to every edge); alpha is a finite
     real number, dim and steps are integers of at least 1, and a bool is
-    neither.  An override the chosen preset does not read is rejected, not
-    ignored.
+    neither.  An unknown override, or one the chosen preset does not read,
+    is rejected, not ignored.
     """
     if scenario_id not in SCENARIO_IDS:
         raise KeyError(f"unknown scenario {scenario_id!r}")
     overrides = dict(overrides or {})
+    unknown = overrides.keys() - _OVERRIDE_KEYS
+    if unknown:
+        raise ValueError(f"unknown override key {min(unknown, key=str)!r} "
+                         f"(expected one of {list(_OVERRIDE_KEYS)})")
     for key in sorted(overrides.keys() & _ONLY_FOR.keys()):
         if _ONLY_FOR[key] != scenario_id:
             raise ValueError(f"override {key!r} does not apply to scenario "
@@ -76,8 +81,6 @@ def build_scenario(scenario_id, overrides=None):
     alpha = float(_pop(overrides, "alpha", 2.0, numbers.Real, "a number"))
     dim = int(_pop(overrides, "dim", 8, numbers.Integral, "an integer"))
     steps = _pop(overrides, "steps", None, numbers.Integral, "an integer")
-    if overrides:
-        raise ValueError(f"unknown overrides: {sorted(overrides)}")
     if not math.isfinite(alpha):
         raise ValueError(f"override 'alpha' must be a finite number, "
                          f"got {alpha}")

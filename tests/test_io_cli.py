@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 from chronograph import cli, matfun, problem_io, scenarios, solver
+from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
+                                 SampledForcing, TransmissionOperator,
+                                 ZeroForcing)
 from chronograph.problem_io import (ProblemFileError, atomic_write,
                                     canonical_json, format_number,
                                     load_problem_dict, load_problem_file,
@@ -153,6 +157,86 @@ def test_emitted_document_is_byte_stable():
         assert text1 == text2, sid
 
 
+def per_entry_problem_to_dict(problem, mode, options):
+    """The writer problem_to_dict replaced, kept as its oracle: one
+    complex() conversion and imaginary-part check per entry."""
+
+    def real(x):
+        x = complex(x)
+        if x.imag != 0.0:
+            raise ValueError("problem files carry real data only")
+        return x.real
+
+    gr = problem.graph
+    edges = []
+    for e in gr.edges:
+        entry = {"id": e, "length": float(gr.lengths[e]),
+                 "dim": int(gr.dims[e]),
+                 "A": [[real(x) for x in row] for row in problem.operator(e)],
+                 "steps": problem.steps_for(e)}
+        spec = problem.forcing.spec_for(e)
+        if isinstance(spec, ZeroForcing):
+            entry["f"] = {"kind": "zero"}
+        elif isinstance(spec, ConstantForcing):
+            entry["f"] = {"kind": "constant",
+                          "value": [real(x) for x in spec.value]}
+        else:
+            entry["f"] = {"kind": "samples",
+                          "value": [[real(x) for x in row]
+                                    for row in spec.values]}
+        if e in problem.g:
+            entry["g"] = [real(x) for x in problem.g[e]]
+        edges.append(entry)
+    pos = {e: k for k, e in enumerate(gr.edges)}
+    blocks = [{"from": j, "to": i,
+               "matrix": [[real(x) for x in row] for row in m]}
+              for (i, j), m in sorted(problem.B.blocks.items(),
+                                      key=lambda kv: (pos[kv[0][0]],
+                                                      pos[kv[0][1]]))]
+    doc = {"edges": edges, "blocks": blocks, "mode": mode}
+    if options:
+        doc["options"] = options
+    return doc
+
+
+SAMPLED = {
+    "edges": [{"id": "a", "length": 0.5, "dim": 2, "steps": 3,
+               "A": [[-1.0, 0.25], [0.0, -2.0]], "g": [1.0, -0.5],
+               "f": {"kind": "samples",
+                     "value": [[0.1 * k, -1.0 / (k + 3)] for k in range(4)]}},
+              {"id": "b", "length": 1.0, "dim": 1, "steps": 2, "A": [[-3.0]],
+               "f": {"kind": "samples", "value": [1e-300, -0.0, 7.0]}}],
+    "blocks": [{"from": "a", "to": "b", "matrix": [[0.5, -0.125]]}],
+    "options": {"steps": 3}}
+
+
+@pytest.mark.parametrize("doc", [
+    *(scenarios.build_scenario(sid) for sid in scenarios.SCENARIO_IDS),
+    scenarios.build_scenario("frequency_shift", {"dim": 96}),
+    SAMPLED], ids=[*scenarios.SCENARIO_IDS, "frequency_shift-96", "samples"])
+def test_problem_to_dict_writes_the_per_entry_writers_bytes(doc):
+    problem, mode, options = load_problem_dict(doc)
+    assert canonical_json(problem_to_dict(problem, mode, options)) == \
+        canonical_json(per_entry_problem_to_dict(problem, mode, options))
+
+
+@pytest.mark.parametrize("where", ["A", "g", "constant", "samples", "block"])
+def test_problem_to_dict_refuses_complex_data_as_the_per_entry_writer(where):
+    problem, _, _ = load_problem_dict(MINIMAL)
+    tiny = 5e-324j
+    change = {
+        "A": {"operators": (EdgeOperator(0, [[-1.0 + tiny]]),)},
+        "g": {"g": {0: [1.0 + tiny]}},
+        "constant": {"forcing": Forcing({0: ConstantForcing([tiny])})},
+        "samples": {"forcing": Forcing({0: SampledForcing([0.0, tiny])})},
+        "block": {"B": TransmissionOperator({(0, 0): [[tiny]]})}}[where]
+    problem = dataclasses.replace(problem, **change)
+    for write in (problem_to_dict, per_entry_problem_to_dict):
+        with pytest.raises(ValueError,
+                           match="^problem files carry real data only$"):
+            write(problem, "parabolic", {})
+
+
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
     target = tmp_path / "out" / "data.txt"
     atomic_write(str(target), "one\n")
@@ -225,15 +309,85 @@ def test_solution_csv_matches_per_value_writer_on_edge_values():
                      [1e300 + 1e-300j, -1e-300 - 1e300j, math.inf],
                      [-math.inf * 1j, 0.1 + 1j / 3, -7.0]])
     narrow = np.array([[-0.0], [tiny], [complex(-math.inf, 1.0)]])
+    # two edges in one chunk on two grids: re_1 and im_1 are zero (of
+    # either sign) throughout, im_0 is nonzero on the first edge only
+    pair = np.empty((2, 3, 2), dtype=complex)
+    pair.real = [[[1.0, -0.0], [-0.0, 0.0], [tiny, -0.0]],
+                 [[-0.0, 0.0], [3.0, -0.0], [math.inf, 0.0]]]
+    pair.imag = [[[-0.0, -0.0], [-2.0, 0.0], [0.0, -0.0]],
+                 [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]]
     times = np.array([[-0.0, 0.5, 1.0]])
     chunks = tuple(solver.Chunk([e], None, None, None, None, times)
-                   for e in ("a%d%%s", 7))
+                   for e in ("a%d%%s", 7)) + (
+        solver.Chunk(["b%", "c"], None, None, None, None,
+                     np.array([[-0.0, 0.5, 1.0], [-0.0, 0.25, 0.5]])),)
     mono = solver.Monodromy(np.eye(4), 1.0, 1.0, {}, None)
-    rep = solver.SolveReport(("a%d%%s", 7), 0.0, 0.0, 0.0, 0.0, mono,
-                             chunks, (narrow[None], wide[None]))
+    rep = solver.SolveReport(("a%d%%s", 7, "b%", "c"), 0.0, 0.0, 0.0, 0.0,
+                             mono, chunks, (narrow[None], wide[None], pair))
     text = solution_csv(rep)
     assert text == per_value_solution_csv(rep)
-    assert text.split("\n")[1] == "a%d%%s,0,0,,,0,,"
+    lines = text.split("\n")
+    assert lines[1] == "a%d%%s,0,0,,,0,,"
+    assert lines[7:10] == ["b%,0,1,0,,0,0,", "b%,0.5,0,0,,-2,0,",
+                           "b%,1,4.9406564584124654e-324,0,,0,0,"]
+    assert lines[12] == "c,0.5,inf,0,,0,0,"
+
+
+def _chain_doc(lengths, g, dim=2):
+    """Edges of one dim and 4 steps, in one chunk, each with a diagonal A
+    and its own g, chained by identity blocks."""
+    eye = np.eye(dim).tolist()
+    return {"edges": [{"id": k, "length": a, "dim": dim, "steps": 4,
+                       "A": np.diag(-1.0 - np.arange(dim)).tolist(),
+                       "g": list(gk), "f": {"kind": "zero"}}
+                      for k, (a, gk) in enumerate(zip(lengths, g))],
+            "blocks": [{"from": k - 1, "to": k, "matrix": eye}
+                       for k in range(1, len(lengths))]}
+
+
+def _solved(doc):
+    problem, _, _ = load_problem_dict(doc)
+    return solver.solve(problem)
+
+
+def test_solution_csv_formats_two_grids_of_one_chunk():
+    rep = _solved(_chain_doc([1.0, 0.5, 1.0], [[1.0, 0.5], [0.0, 0.0],
+                                               [0.0, 0.0]]))
+    assert len(rep.chunks) == 1
+    assert len({t.tobytes() for t in rep.chunks[0].times}) == 2
+    text = solution_csv(rep)
+    assert text == per_value_solution_csv(rep)
+    assert text.split("\n")[7].startswith("1,0.125,")
+
+
+def test_solution_csv_writes_a_column_zero_on_one_edge_of_a_chunk():
+    # uncoupled, so edge 0 keeps re_1 = 0 and edge 1 re_0 = 0; re_2 and
+    # every imaginary column are zero on both
+    doc = _chain_doc([1.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dim=3)
+    doc["blocks"] = []
+    rep = _solved(doc)
+    assert len(rep.chunks) == 1
+    text = solution_csv(rep)
+    assert text == per_value_solution_csv(rep)
+    lines = text.split("\n")
+    assert lines[1] == "0,0,1,0,0,0,0,0"
+    assert lines[6] == "1,0,0,1,0,0,0,0"
+
+
+@pytest.mark.parametrize("budget", [1, solver.CHUNK_VALUES])
+@pytest.mark.parametrize("sid", ["lions_chain", "multi_loop"])
+def test_solution_csv_matches_per_value_writer_per_chunk_budget(
+        monkeypatch, budget, sid):
+    monkeypatch.setattr(solver, "CHUNK_VALUES", budget)
+    rep = solver.solve(preset(sid))
+    assert (len(rep.chunks) == len(rep.edge_order)) == (budget == 1)
+    assert solution_csv(rep) == per_value_solution_csv(rep)
+
+
+def test_solution_csv_matches_per_value_writer_on_frequency_shift():
+    # every imaginary column and the modes an edge does not receive are zero
+    rep = solver.solve(preset("frequency_shift", steps=300))
+    assert solution_csv(rep) == per_value_solution_csv(rep)
 
 
 def make_problem_file(tmp_path, doc, name="problem.json"):
@@ -573,8 +727,19 @@ def test_cli_scenario_problem_file_byte_stable(tmp_path):
 def test_cli_scenario_rejects_unknown(tmp_path, capsys):
     assert cli.main(["scenario", "wormhole", "--out", str(tmp_path)]) == 1
     assert "unknown scenario" in capsys.readouterr().err
+    message = ("error: unknown override key 'bogus' "
+               "(expected one of ['alpha', 'dim', 'steps'])\n")
     assert cli.main(["scenario", "periodic", "--set", "bogus=1",
                      "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == message
+    assert cli.run_scenario("periodic", {"bogus": 1},
+                            out_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err == message
+    # an unknown key is named before a value of the wrong type
+    assert cli.main(["scenario", "periodic", "--set", "steps=x", "--set",
+                     "bogus=1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("preset_id, override, reader", [
