@@ -9,13 +9,14 @@ Verbs:
 The verbs are importable as run_solve / run_scenario / run_compare, each
 returning the process exit code instead of raising.
 
-Exit codes: 0 success, 1 invalid input, 2 boundary system numerically
-singular, 3 comparison tolerance breached.
+Exit codes: 0 success, 1 invalid input, a usage error or a failed write,
+2 boundary system numerically singular, 3 comparison tolerance breached.
 """
 
 import argparse
 import math
 import numbers
+import os
 import sys
 
 import numpy as np
@@ -84,8 +85,33 @@ def _trap(thunk):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     return _trap(lambda: args.func(args))
+
+
+def _directory(value, option):
+    """The output directory value as a path string; anything else raises
+    ValueError naming the option."""
+    if isinstance(value, os.PathLike):
+        value = os.fspath(value)
+    if not isinstance(value, str):
+        raise ValueError(f"{option}: {value!r} is not a path")
+    return value
+
+
+def _write(out_dir, name, text):
+    """atomic_write text to out_dir/name and return that path; a write the
+    system refuses raises ValueError naming the path."""
+    path = os.path.join(out_dir, name)
+    try:
+        atomic_write(path, text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") \
+            from None
+    return path
 
 
 def _float(x):
@@ -105,26 +131,22 @@ def _solvability_dict(problem):
     }
 
 
-def _hypotheses_dict(problem, mono):
-    h = diagnose(problem, mono)
-    return {
-        "dissipativity_margin": {str(e): _float(v)
-                                 for e, v in h.dissipativity_margin.items()},
-        "B_norm": _float(h.B_norm),
-        "monodromy_rcond": _float(h.monodromy_rcond),
-        "sufficient_condition_met": bool(h.sufficient_condition_met),
-        "epsilon": _float(h.epsilon),
-    }
-
-
 def _report_dict(problem, mode, report):
     gr = problem.graph
+    h = diagnose(problem, report.monodromy)
     doc = {
         "mode": mode,
         "edges": [{"id": e, "dim": gr.dims[e], "length": _float(gr.lengths[e]),
                    "steps": problem.steps_for(e)} for e in gr.edges],
         "solvability": _solvability_dict(problem),
-        "hypotheses": _hypotheses_dict(problem, report.monodromy),
+        "hypotheses": {
+            "dissipativity_margin": {
+                str(e): _float(v) for e, v in h.dissipativity_margin.items()},
+            "B_norm": _float(h.B_norm),
+            "monodromy_rcond": _float(h.monodromy_rcond),
+            "sufficient_condition_met": bool(h.sufficient_condition_met),
+            "epsilon": _float(h.epsilon),
+        },
         "residuals": {
             "boundary": _float(report.boundary_residual),
             "ode": _float(report.ode_residual),
@@ -132,7 +154,7 @@ def _report_dict(problem, mode, report):
         },
         "monodromy_rcond": _float(report.monodromy_rcond),
         "ill_conditioned": bool(report.ill_conditioned),
-        "commutator_norm": _float(report.commutator_norm),
+        "commutator_norm": _float(h.commutator_norm),
         "grade": solver.solution_grade(problem, report),
     }
     return doc
@@ -167,12 +189,12 @@ def _solve_and_write(problem, mode, out_dir):
     if mode == "schrodinger":
         doc["unitarity"] = _unitarity_dict(report, effective)
     report_text = canonical_json(doc)  # raises before any file is written
-    atomic_write(f"{out_dir}/solution.csv", problem_io.solution_csv(report))
-    atomic_write(f"{out_dir}/report.json", report_text)
+    csv_path = _write(out_dir, "solution.csv", problem_io.solution_csv(report))
+    report_path = _write(out_dir, "report.json", report_text)
     print(f"solved {len(problem.graph.edges)} edge(s): "
           f"boundary residual {report.boundary_residual:.3e}, "
           f"step defect {report.ode_residual:.3e} -> "
-          f"{out_dir}/solution.csv, {out_dir}/report.json")
+          f"{csv_path}, {report_path}")
     return 0
 
 
@@ -183,8 +205,9 @@ def run_solve(path, out_dir="."):
     system); error messages go to standard error.
     """
     def work():
+        out = _directory(out_dir, "option out_dir (--out)")
         problem, mode, _ = problem_io.load_problem_file(path)
-        return _solve_and_write(problem, mode, out_dir)
+        return _solve_and_write(problem, mode, out)
     return _trap(work)
 
 
@@ -195,6 +218,7 @@ def run_scenario(scenario_id, overrides=None, out_dir="."):
     reproducible from the emitted file alone. Returns the exit code.
     """
     def work():
+        out = _directory(out_dir, "option out_dir (--out)")
         try:
             doc = scenarios.build_scenario(scenario_id, dict(overrides or {}))
         except KeyError:
@@ -204,8 +228,8 @@ def run_scenario(scenario_id, overrides=None, out_dir="."):
         problem, mode, options = problem_io.load_problem_dict(doc)
         normalized = problem_io.problem_to_dict(problem, mode=mode,
                                                 options=options)
-        atomic_write(f"{out_dir}/problem.json", canonical_json(normalized))
-        return _solve_and_write(problem, mode, out_dir)
+        _write(out, "problem.json", canonical_json(normalized))
+        return _solve_and_write(problem, mode, out)
     return _trap(work)
 
 
@@ -235,6 +259,7 @@ def run_compare(path, cfg=None):
                 or not (math.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"compare option tol (--tol): {tol!r} is not a "
                              "finite number >= 0")
+        out_dir = _directory(out_dir, "compare option out (--out)")
         return _compare(path, int(cn_steps_req), float(tol), out_dir)
     return _trap(work)
 
@@ -291,7 +316,7 @@ def _compare(path, cn_steps_req, tol, out_dir):
         c_pic = oracle.picard_boundary(problem, report)
         picard = {"converged": True}
         picard_disc = float(np.max(np.abs(c_mine - c_pic)))
-    except oracle.PicardDivergence as exc:
+    except (oracle.PicardDivergence, oracle.PicardStalled) as exc:
         picard = {"converged": False, "spectral_radius": _float(exc.rho)}
 
     breached = state_disc > tol or boundary_disc > tol or (
@@ -306,9 +331,9 @@ def _compare(path, cn_steps_req, tol, out_dir):
         "picard_discrepancy": picard_disc,
         "within_tolerance": not breached,
     }
-    atomic_write(f"{out_dir}/compare.json", canonical_json(doc))
+    out_path = _write(out_dir, "compare.json", canonical_json(doc))
     print(f"compare: state {state_disc:.3e}, boundary {boundary_disc:.3e} "
-          f"(tol {tol:.1e}) -> {out_dir}/compare.json")
+          f"(tol {tol:.1e}) -> {out_path}")
     return 3 if breached else 0
 
 

@@ -26,6 +26,16 @@ class PicardDivergence(Exception):
         self.rho = rho
 
 
+class PicardStalled(Exception):
+    """Fixed-point iteration still moving after PICARD_MAX_ITER steps:
+    rho(B E) < 1, but too close to 1 for the budget."""
+
+    def __init__(self, rho):
+        super().__init__(f"picard iteration did not converge in "
+                         f"{PICARD_MAX_ITER} steps (rho(BE) = {rho:.6f})")
+        self.rho = rho
+
+
 class TooLarge(ValueError):
     """Pattern too large for exhaustive permutation search."""
 
@@ -105,7 +115,8 @@ def picard_boundary(problem, report):
     Iterates on the system of the solve that produced report (a solver.solve
     report): B E = I - M from its monodromy, and F from its chunks.
     Converges geometrically iff rho(B E) < 1; divergence is raised up front
-    from the spectral radius rather than detected by overflow.  O(n^3): it
+    from the spectral radius rather than detected by overflow, and a slow
+    convergence past the step budget raises PicardStalled.  O(n^3): it
     forms M densely and takes all its eigenvalues.
     """
     M = report.monodromy.dense()
@@ -124,9 +135,7 @@ def picard_boundary(problem, report):
         c = nxt
         if delta <= PICARD_TOL:
             return c
-    raise RuntimeError(
-        f"picard iteration did not converge in {PICARD_MAX_ITER} steps"
-        f" (rho(BE) = {rho:.6f})")
+    raise PicardStalled(rho)
 
 
 def brute_force_triangularizable(pattern):

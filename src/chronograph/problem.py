@@ -67,17 +67,19 @@ def _local_offsets(graph, edges, pos):
     return out, size
 
 
-def block_norm(graph, blocks):
-    """2-norm of the block matrix over the stacked boundary space whose
-    nonzero blocks are `blocks` ((row edge, column edge) -> matrix).
+def block_norm(graph, *block_sets):
+    """2-norm of each block matrix over the stacked boundary space whose
+    nonzero blocks are one of block_sets ((row edge, column edge) -> matrix,
+    all on the keys of the first), as a tuple.
 
     Blocks that share a row or a column edge are joined into connected
-    components.  Up to row and column permutations the matrix is the direct
-    sum of the components' submatrices, so its norm is the largest of
-    theirs; no n x n matrix is formed.  matfun.block_matrix holds each
-    submatrix dense or sparse: a sparse one is normed by Lanczos, and the
-    dense ones take one stacked SVD per shape.  A Lanczos iteration that
-    does not converge raises ValueError rather than return a norm.
+    components, once for all sets.  Up to row and column permutations a
+    matrix is the direct sum of the components' submatrices, so its norm is
+    the largest of theirs; no n x n matrix is formed.  matfun.block_matrix
+    holds each submatrix dense or sparse: a sparse one is normed by Lanczos,
+    and a set's dense ones take one stacked SVD per shape.  A Lanczos
+    iteration that does not converge raises ValueError rather than return a
+    norm.
     """
     parent = {}
 
@@ -88,31 +90,34 @@ def block_norm(graph, blocks):
             x = parent[x]
         return x
 
-    for i, j in blocks:
+    for i, j in block_sets[0]:
         parent[root(("row", i))] = root(("col", j))
     components = {}
-    for i, j in blocks:
+    for i, j in block_sets[0]:
         components.setdefault(root(("row", i)), []).append((i, j))
     pos = {e: k for k, e in enumerate(graph.edges)}
-    by_shape = {}
-    norms = []
+    by_shape = [{} for _ in block_sets]
+    norms = [[] for _ in block_sets]
     for keys in components.values():
         r_off, rows = _local_offsets(graph, {i for i, _ in keys}, pos)
         c_off, cols = _local_offsets(graph, {j for _, j in keys}, pos)
-        sub = matfun.block_matrix((rows, cols), [
-            (r_off[i], c_off[j], blocks[(i, j)]) for i, j in keys])
-        if isinstance(sub, np.ndarray):
-            by_shape.setdefault(sub.shape, []).append(sub)
-            continue
-        norm = matfun.lanczos_sigma_max(sub)
-        if not norm >= 0.0:
-            raise ValueError(f"2-norm of a {rows} x {cols} block "
-                             f"component: ARPACK's Lanczos iteration "
-                             f"did not converge")
-        norms.append(norm)
-    norms.extend(float(np.max(np.linalg.norm(np.stack(subs), 2, axis=(1, 2))))
-                 for subs in by_shape.values())
-    return max(norms, default=0.0)
+        for blocks, dense, found in zip(block_sets, by_shape, norms):
+            sub = matfun.block_matrix((rows, cols), [
+                (r_off[i], c_off[j], blocks[(i, j)]) for i, j in keys])
+            if isinstance(sub, np.ndarray):
+                dense.setdefault(sub.shape, []).append(sub)
+                continue
+            norm = matfun.lanczos_sigma_max(sub)
+            if not norm >= 0.0:
+                raise ValueError(f"2-norm of a {rows} x {cols} block "
+                                 f"component: ARPACK's Lanczos iteration "
+                                 f"did not converge")
+            found.append(norm)
+    for dense, found in zip(by_shape, norms):
+        found.extend(float(np.max(np.linalg.norm(np.stack(subs), 2,
+                                                 axis=(1, 2))))
+                     for subs in dense.values())
+    return tuple(max(found, default=0.0) for found in norms)
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,7 @@ class HypothesisReport:
 
     dissipativity_margin: dict       # edge -> numerical abscissa of A_j
     B_norm: float
+    commutator_norm: float           # || [blockdiag(A_j), B] ||
     monodromy_rcond: float
     sufficient_condition_met: bool
     epsilon: Optional[float]  # uniform decay margin when all abscissas < 0
@@ -313,7 +319,8 @@ _NORM_ONE_SLACK = 1e-12
 
 
 def diagnose(problem, mono):
-    """Hypothesis diagnostics: dissipativity margins, ||B||, monodromy conditioning.
+    """Hypothesis diagnostics: dissipativity margins, ||B||, the commutator
+    norm ||[blockdiag(A_j), B]||, monodromy conditioning.
 
     sufficient_condition_met reflects the two sufficient invertibility
     conditions: all margins <= 0 with ||B|| < 1, or margins uniformly negative
@@ -327,9 +334,12 @@ def diagnose(problem, mono):
     for edges, A in problem.operator_groups:
         mu.update(zip(edges, numerical_abscissa(A).tolist()))
     mu = {e: mu[e] for e in gr.edges}
-    B_norm = block_norm(gr, problem.B.blocks)
+    # the commutator's (i, j) block is A_i B_ij - B_ij A_j: B's pattern
+    op, blocks = problem.operator, problem.B.blocks
+    B_norm, comm = block_norm(gr, blocks, {
+        (i, j): op(i) @ m - m @ op(j) for (i, j), m in blocks.items()})
     worst = max(mu.values())
     met = (worst <= 0.0 and B_norm < 1.0) or \
           (worst < 0.0 and B_norm <= 1.0 + _NORM_ONE_SLACK)
     eps = -worst if worst < 0.0 else None
-    return HypothesisReport(mu, B_norm, mono.rcond, bool(met), eps)
+    return HypothesisReport(mu, B_norm, comm, mono.rcond, bool(met), eps)

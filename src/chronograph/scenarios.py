@@ -20,14 +20,14 @@ SCENARIO_IDS = (
 )
 
 
-def _edge(eid, length=1.0, dim=1, A=None, f=None, g=None, steps=DEFAULT_STEPS):
+def _edge(eid, length=1.0, dim=1, A=None, f=None, g=None):
     doc = {
         "id": eid,
         "length": float(length),
         "dim": int(dim),
         "A": A if A is not None else [[-1.0]],
         "f": f if f is not None else {"kind": "constant", "value": [1.0]},
-        "steps": int(steps),
+        "steps": DEFAULT_STEPS,
     }
     if g is not None:
         doc["g"] = list(g)
@@ -90,7 +90,7 @@ def build_scenario(scenario_id, overrides=None):
 
     if scenario_id == "periodic":
         doc = {
-            "edges": [_edge(0, g=None)],
+            "edges": [_edge(0)],
             "blocks": _scalar_blocks({(0, 0): 1.0}),
         }
     elif scenario_id == "phase_shift":

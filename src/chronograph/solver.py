@@ -48,7 +48,7 @@ import numpy as np
 
 from . import matfun
 from .problem import (ConstantForcing, EdgeOperator, SampledForcing,
-                      ZeroForcing, block_norm, stack_edge_values, validate)
+                      ZeroForcing, stack_edge_values, validate)
 
 MILD = "MILD"
 STRONG = "STRONG"
@@ -114,7 +114,6 @@ class SolveReport:
     boundary_residual: float         # ||psi_- - B psi_+ - g|| / (1 + ||g||)
     ode_residual: float              # max scaled one-step recurrence defect
     energy_defect: float
-    commutator_norm: float           # || [blockdiag(A_j), B] ||, informational
     monodromy: Monodromy             # the solve's boundary system
     chunks: tuple                    # Chunk per edge chunk, in graph order
     states: tuple                    # per chunk: (edges, steps + 1, dim)
@@ -492,16 +491,6 @@ def _boundary_residual(problem, states):
     return float(residual / (1.0 + g_norm))
 
 
-def _commutator_norm(problem):
-    """||[blockdiag(A_j), B]||_2.  The commutator's (i, j) block is
-    A_i B_ij - B_ij A_j, so it has B's block pattern and its norm is taken
-    block-sparsely."""
-    op = problem.operator
-    return block_norm(problem.graph, {
-        (i, j): op(i) @ m - m @ op(j)
-        for (i, j), m in problem.B.blocks.items()})
-
-
 def propagate(problem, c, mono, chunks):
     """Integrate every edge from the given stacked initial values with the
     solve's chunks, one scan per chunk, and attach residual diagnostics; a
@@ -528,7 +517,6 @@ def propagate(problem, c, mono, chunks):
             boundary_residual=_boundary_residual(problem, states),
             ode_residual=_one_step_defect(problem, chunks, states),
             energy_defect=energy_defect_of(problem, chunks, states),
-            commutator_norm=_commutator_norm(problem),
             monodromy=mono,
             chunks=chunks,
             states=tuple(states),

@@ -95,10 +95,10 @@ def unitarity_check(report, problem):
     """
     gr, mono, blocks = problem.graph, report.monodromy, problem.B.blocks
     E = mono.propagators
-    comm = block_norm(gr, {(i, j): m @ E[j] - E[i] @ m
-                           for (i, j), m in blocks.items()})
-    E_norm = block_norm(gr, {(e, e): E[e] for e in gr.edges})
-    if comm > _COMMUTATOR_TOL * max(1.0, block_norm(gr, blocks) * E_norm):
+    comm, B_norm = block_norm(gr, {(i, j): m @ E[j] - E[i] @ m
+                                   for (i, j), m in blocks.items()}, blocks)
+    E_norm, = block_norm(gr, {(e, e): E[e] for e in gr.edges})
+    if comm > _COMMUTATOR_TOL * max(1.0, B_norm * E_norm):
         raise NonCommuting(f"||[B, e^(iaH)]|| = {comm:.3e} exceeds tolerance")
     # B^2 - 2 B cos(aH); (B^2)_ik sums B_ij B_jk over the shared edges j
     by_row = {}
@@ -108,7 +108,7 @@ def unitarity_check(report, problem):
     for (i, j), m in blocks.items():
         for k, m2 in by_row.get(j, ()):
             D[i, k] = D.get((i, k), 0.0) + m @ m2
-    defect = block_norm(gr, D)
+    defect, = block_norm(gr, D)
     op_defect = max(abs(mono.sigma_min ** -2 - 1.0),
                     abs(mono.sigma_max ** -2 - 1.0))
     return UnitarityReport(bool(defect <= _UNITARY_TOL), defect, op_defect,

@@ -322,7 +322,7 @@ def test_solution_csv_matches_per_value_writer_on_edge_values():
         solver.Chunk(["b%", "c"], None, None, None, None,
                      np.array([[-0.0, 0.5, 1.0], [-0.0, 0.25, 0.5]])),)
     mono = solver.Monodromy(np.eye(4), 1.0, 1.0, {}, None)
-    rep = solver.SolveReport(("a%d%%s", 7, "b%", "c"), 0.0, 0.0, 0.0, 0.0,
+    rep = solver.SolveReport(("a%d%%s", 7, "b%", "c"), 0.0, 0.0, 0.0,
                              mono, chunks, (narrow[None], wide[None], pair))
     text = solution_csv(rep)
     assert text == per_value_solution_csv(rep)
@@ -919,6 +919,130 @@ def test_cli_compare_reports_divergent_iteration(tmp_path):
     assert out["picard"]["converged"] is False
     assert out["picard"]["spectral_radius"] >= 1.0
     assert out["picard_discrepancy"] is None
+
+
+def test_cli_compare_reports_an_iteration_out_of_steps(tmp_path):
+    """rho(B E) = 0.99997 < 1: the iteration converges, but slower than
+    PICARD_MAX_ITER steps allow; that is reported as divergence is, and the
+    exit code is set by the other discrepancies."""
+    doc = scenarios.build_scenario("phase_shift", {"alpha": 2.7182})
+    path = make_problem_file(tmp_path, doc)
+    code = cli.main(["compare", path, "--cn-steps", "100",
+                     "--out", str(tmp_path)])
+    out = json.loads((tmp_path / "compare.json").read_text())
+    assert code == (0 if out["within_tolerance"] else 3)
+    assert out["picard"]["converged"] is False
+    assert sorted(out["picard"]) == ["converged", "spectral_radius"]
+    assert 0.9999 < out["picard"]["spectral_radius"] < 1.0
+    assert out["picard_discrepancy"] is None
+
+
+def writing_verbs(tmp_path):
+    """(argv without --out, output names in write order) of each verb that
+    writes files."""
+    path = make_problem_file(tmp_path, MINIMAL)
+    return {"solve": (["solve", path], ["solution.csv", "report.json"]),
+            "scenario": (["scenario", "periodic"],
+                         ["problem.json", "solution.csv", "report.json"]),
+            "compare": (["compare", path, "--cn-steps", "200"],
+                        ["compare.json"])}
+
+
+@pytest.mark.parametrize("verb", ["solve", "scenario", "compare"])
+def test_cli_empty_out_writes_to_the_working_directory(tmp_path, capsys,
+                                                       monkeypatch, verb):
+    """--out '' names each output by its bare file name, as os.path.join
+    does; the writes are recorded, not made."""
+    argv, names = writing_verbs(tmp_path)[verb]
+    targets = []
+    monkeypatch.setattr(cli, "atomic_write",
+                        lambda path, text: targets.append(path))
+    assert cli.main(argv + ["--out", ""]) == 0
+    assert targets == names
+    assert capsys.readouterr().out.rstrip().endswith(
+        "-> " + ", ".join(names[-2:]))
+
+
+@pytest.mark.parametrize("verb", ["solve", "scenario", "compare"])
+@pytest.mark.parametrize("under, reason", [("", "File exists"),
+                                           ("sub", "Not a directory")])
+def test_cli_out_under_a_regular_file_exits_one_naming_the_path(
+        tmp_path, capsys, verb, under, reason):
+    argv, names = writing_verbs(tmp_path)[verb]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = os.path.join(str(blocker), under)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv + ["--out", out]) == 1
+    target = os.path.join(out, names[0])
+    assert one_error_line(capsys) == f"cannot write {target}: {reason}"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("verb", ["solve", "scenario", "compare"])
+@pytest.mark.parametrize("out", [None, 3, b"bytes"])
+def test_run_verbs_refuse_an_out_that_is_not_a_path(tmp_path, capsys,
+                                                    monkeypatch, verb, out):
+    monkeypatch.chdir(tmp_path)  # wherever a path is made of it, it is here
+    path = make_problem_file(tmp_path, MINIMAL)
+    before = sorted(tmp_path.rglob("*"))
+    if verb == "solve":
+        code = cli.run_solve(path, out_dir=out)
+        option = "option out_dir (--out)"
+    elif verb == "scenario":
+        code = cli.run_scenario("periodic", out_dir=out)
+        option = "option out_dir (--out)"
+    else:
+        code = cli.run_compare(path, {"cn_steps": 200, "out": out})
+        option = "compare option out (--out)"
+    assert code == 1
+    assert one_error_line(capsys) == f"{option}: {out!r} is not a path"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_run_verbs_take_a_path_object_as_out(tmp_path):
+    path = make_problem_file(tmp_path, MINIMAL)
+    assert cli.run_solve(path, out_dir=tmp_path / "s") == 0
+    assert cli.run_scenario("periodic", out_dir=tmp_path / "p") == 0
+    assert cli.run_compare(path, {"cn_steps": 200,
+                                  "out": tmp_path / "c"}) == 0
+    assert sorted(os.listdir(tmp_path / "s")) == ["report.json",
+                                                  "solution.csv"]
+    assert sorted(os.listdir(tmp_path / "p")) == ["problem.json",
+                                                  "report.json",
+                                                  "solution.csv"]
+    assert os.listdir(tmp_path / "c") == ["compare.json"]
+
+
+def exit_code(argv):
+    """cli.main's exit code, whether it returns it or raises SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "f", "--cn-steps", "abc"],
+     "argument --cn-steps: invalid int value: 'abc'"),
+    (["compare", "f", "--tol", "x"], "argument --tol: invalid float value"),
+    (["solve"], "the following arguments are required: file"),
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'")])
+def test_cli_usage_error_exits_one_with_argparse_message(capsys, argv,
+                                                         message):
+    """Exit code 2 is a singular boundary system; a usage error is 1."""
+    assert exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: chronograph")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compare", "--help"]])
+def test_cli_help_exits_zero(capsys, argv):
+    assert exit_code(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: chronograph")
 
 
 def test_importable_entry_points(tmp_path, capsys):

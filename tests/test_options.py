@@ -13,7 +13,7 @@ import chronograph
 
 SRC = pathlib.Path(chronograph.__file__).parent
 
-OPTION_COUNT = 31
+OPTION_COUNT = 30
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -141,7 +141,8 @@ def test_transmission_assembly_and_norm():
     assert dense.shape == (3, 3)
     assert dense[0, 0] == 0.5
     assert np.allclose(dense[1:, 0], [1.0, 2.0])
-    assert abs(block_norm(g, B.blocks) - np.linalg.norm(dense, 2)) <= 1e-14
+    norm, = block_norm(g, B.blocks)
+    assert abs(norm - np.linalg.norm(dense, 2)) <= 1e-14
 
 
 @given(st.integers(1, 6), st.floats(0.1, 0.9), st.integers(0, 10 ** 6))
@@ -154,7 +155,8 @@ def test_block_norm_matches_dense_norm(n, density, seed):
         + 1j * r.standard_normal((dims[i], dims[j]))
         for i in range(n) for j in range(n) if r.random() < density})
     dense = np.linalg.norm(dense_B(g, B), 2)
-    assert abs(block_norm(g, B.blocks) - dense) <= 1e-13 * max(dense, 1.0)
+    norm, = block_norm(g, B.blocks)
+    assert abs(norm - dense) <= 1e-13 * max(dense, 1.0)
 
 
 def bidiagonal_blocks(m):
@@ -222,7 +224,8 @@ def test_block_norm_takes_lanczos_for_large_sparse_components_only(
     want = np.linalg.norm(dense_B(g, B), 2)
     monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded)
     monkeypatch.setattr(numpy.linalg._linalg, "svd", recorded_svd)
-    assert abs(block_norm(g, B.blocks) - want) <= 1e-12 * want
+    norm, = block_norm(g, B.blocks)
+    assert abs(norm - want) <= 1e-12 * want
     assert shapes == ([(n, n)] if lanczos else [])
     assert svd_shapes == ([] if lanczos else [(1, n, n)])
 
@@ -257,6 +260,54 @@ def test_apply_matches_the_dense_product(pattern, seed):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= \
         1e-14 * max(1.0, float(np.max(np.abs(dense) @ np.abs(x))))
+
+
+def assert_norms_walk_once(g, *block_sets):
+    """block_norm of several sets in one call returns, bit for bit, the
+    norm of each set on its own."""
+    got = block_norm(g, *block_sets)
+    want = tuple(block_norm(g, blocks)[0] for blocks in block_sets)
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+
+
+@given(block_patterns(), st.integers(0, 10 ** 6))
+@example((TimeGraph((0, 1, 2, 3), {e: 1.0 for e in range(4)},
+                    {0: 2, 1: 3, 2: 1, 3: 2}),
+          {(0, 0), (1, 0), (1, 2)}), 0)
+def test_block_norm_of_sets_on_one_pattern_matches_each_alone(pattern, seed):
+    """Sets sharing a pattern, one of them with zero entries and one a
+    commutator-like difference, as diagnose and the unitarity check pass
+    them."""
+    g, pairs = pattern
+    r = np.random.default_rng(seed)
+
+    def draw(i, j):
+        return r.standard_normal((g.dims[i], g.dims[j])) \
+            + 1j * r.standard_normal((g.dims[i], g.dims[j]))
+
+    X = {(i, j): draw(i, j) for i, j in pairs}
+    Y = {(i, j): draw(i, j) * (r.random((g.dims[i], g.dims[j])) < 0.5)
+         for i, j in pairs}
+    A = {e: draw(e, e) for e in g.edges}
+    C = {(i, j): A[i] @ m - m @ A[j] for (i, j), m in X.items()}
+    assert_norms_walk_once(g, X, Y, C)
+    assert_norms_walk_once(g, Y, X)
+
+
+@pytest.mark.parametrize("build, arg", [
+    (bidiagonal_blocks, N - 1), (bidiagonal_blocks, N), (full_block, N),
+    (block_ring, False), (block_ring, True)],
+    ids=["sparse-below", "sparse-at", "full-at", "ring-at-quarter",
+         "ring-above-quarter"])
+def test_block_norm_of_sets_on_one_pattern_matches_each_alone_at_lanczos(
+        build, arg):
+    """On the Lanczos fixtures each set takes its own side of
+    matfun.block_matrix's rule: the diagonals of full blocks are sparse
+    where the blocks are dense."""
+    g, B = build(arg)
+    diagonals = {k: np.diag(np.diag(m)) for k, m in B.blocks.items()}
+    assert_norms_walk_once(g, B.blocks, diagonals)
+    assert_norms_walk_once(g, diagonals, B.blocks)
 
 
 def diagnose_alone(problem):

@@ -20,8 +20,8 @@ from chronograph import problem as problem_module
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
                                  SampledForcing, TimeGraphProblem,
-                                 TransmissionOperator, forcing_node_values,
-                                 stack_edge_values)
+                                 TransmissionOperator, diagnose,
+                                 forcing_node_values, stack_edge_values)
 from conftest import dense_B, preset
 
 
@@ -330,9 +330,12 @@ def test_solution_grades():
     assert solver.solution_grade(bad, None) == solver.STRONG
 
 
+def commutator_norm(p):
+    return diagnose(p, solver.solve(p).monodromy).commutator_norm
+
+
 def test_commutator_norm_zero_for_single_edge_scalar():
-    rep = solver.solve(preset("periodic"))
-    assert rep.commutator_norm <= 1e-14
+    assert commutator_norm(preset("periodic")) <= 1e-14
 
 
 def test_commutator_norm_matches_dense_commutator_on_presets():
@@ -342,13 +345,11 @@ def test_commutator_norm_matches_dense_commutator_on_presets():
         AV = scipy.linalg.block_diag(*[p.operator(e) for e in gr.edges])
         B = dense_B(gr, p.B)
         dense = np.linalg.norm(AV @ B - B @ AV, 2)
-        assert abs(solver._commutator_norm(p) - dense) \
-            <= 1e-13 * max(dense, 1.0), sid
+        assert abs(commutator_norm(p) - dense) <= 1e-13 * max(dense, 1.0), sid
 
 
 def test_commutator_norm_positive_when_coupling_mixes():
-    rep = solver.solve(preset("lions_chain"))
-    assert rep.commutator_norm > 1e-6
+    assert commutator_norm(preset("lions_chain")) > 1e-6
 
 
 def scalar_graph_doc(n, ring, dims=(1,)):
@@ -418,7 +419,10 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     DENSE_BOUNDARY_MAX unknowns, or more than a quarter of M nonzero) a
     solve takes one n x n SVD and one dense solve of M, and no Lanczos
     iteration on it; on the sparse side, no SVD or dense solve of M and
-    two Lanczos iterations (M and its inverse)."""
+    two Lanczos iterations (M and its inverse).  block_norm runs once in
+    diagnose (||B|| and the commutator from one walk of B's components),
+    three times in the unitarity check, and never in a solve or a
+    compare."""
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     n = len(doc["edges"])
@@ -434,6 +438,7 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     operator_stacks = []
     diagnostic_stages = collections.defaultdict(list)
     lanczos_stages = []
+    block_norm_stages = []
 
     def in_stage(name, fn):
         def wrapper(*args, **kwargs):
@@ -462,6 +467,10 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
         """SVDs of one size x size matrix; block_norm's stacked SVDs of
         components are (k, rows, cols)."""
         return [s for s in svd_shapes if s == (size, size)]
+
+    def recorded_block_norm(*args, _block_norm=problem_module.block_norm):
+        block_norm_stages.append(stage[-1])
+        return _block_norm(*args)
 
     def recorded_lanczos(A, _lanczos=matfun.lanczos_sigma_max):
         lanczos_stages.append(stage[-1])
@@ -493,10 +502,16 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     monkeypatch.setattr(matfun, "hermitian_eig", counted_eig)
     monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded_lanczos)
     monkeypatch.setattr(operator_groups, "func", counted_groups)
-    for name in ("assemble_monodromy", "edge_recurrences"):
+    for name in ("solve", "assemble_monodromy", "edge_recurrences"):
         monkeypatch.setattr(solver, name,
                             in_stage(name, getattr(solver, name)))
     monkeypatch.setattr(cli, "diagnose", in_stage("diagnose", cli.diagnose))
+    monkeypatch.setattr(variants, "unitarity_check",
+                        in_stage("unitarity_check", variants.unitarity_check))
+    # every binding of block_norm
+    for module in (problem_module, solver, variants):
+        if hasattr(module, "block_norm"):
+            monkeypatch.setattr(module, "block_norm", recorded_block_norm)
     monkeypatch.setattr(oracle, "cn_solve", in_stage("cn_solve",
                                                      oracle.cn_solve))
     # every binding of the forcing sampler, as perfbench's tracer patches it
@@ -504,8 +519,7 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
         if hasattr(module, "forcing_node_values"):
             monkeypatch.setattr(module, "forcing_node_values",
                                 counted_forcing)
-    diagnostics = ("energy_defect_of", "_boundary_residual",
-                   "_commutator_norm")
+    diagnostics = ("energy_defect_of", "_boundary_residual")
     for name in diagnostics:
         monkeypatch.setattr(solver, name, staged(name, getattr(solver, name)))
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
@@ -537,12 +551,15 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     if mode == "schrodinger":
         # the unitarity check reads the solve's propagators and singular
         # values: no second SVD or inverse of M; the generators i H_j are
-        # formed without an eigensystem
+        # formed without an eigensystem; it walks B's components with
+        # [B, E] and B, E's with E, and B^2 - 2 B cos(aH)'s
         assert eig_calls == []
+        assert block_norm_stages == ["diagnose"] + ["unitarity_check"] * 3
         unitarity = json.loads((tmp_path / "report.json").read_text())[
             "unitarity"]
         assert unitarity["checked"] and unitarity["unitary"] is False
         return
+    assert block_norm_stages == ["diagnose"]
 
     # compare: the fixed-point iteration reuses the solve's system, so the
     # solve's SVD (dense side) and the two reference solves' are the only
@@ -553,6 +570,7 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     svd_shapes.clear()
     diagnostic_stages.clear()
     operator_stacks.clear()
+    block_norm_stages.clear()
     assert cli.run_compare(str(path), {"cn_steps": 40, "tol": 1e-2,
                                        "out": str(tmp_path)}) == 0
     compared = json.loads((tmp_path / "compare.json").read_text())
@@ -569,11 +587,13 @@ def test_cli_solve_computes_each_dense_quantity_once(tmp_path, monkeypatch,
     for _, e, t in forcing_calls:
         assert t.tobytes() == np.linspace(0.0, lengths[e], len(t)).tobytes()
     assert square_svds() == [(size, size)] * (2 + dense_side)
-    assert diagnostic_stages == {name: [None] for name in diagnostics}
+    assert diagnostic_stages == {name: ["solve"] for name in diagnostics}
+    assert block_norm_stages == []
 
     # mapping properties read the report's operators and invert M once
     problem, _, _ = problem_io.load_problem_file(str(path))
     report = solver.solve(problem)
+    assert block_norm_stages == []
     expm_calls.clear()
     svd_shapes.clear()
     inverted.clear()
