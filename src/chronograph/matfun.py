@@ -175,8 +175,12 @@ def lanczos_sigma_max(A):
     min(A.shape) >= 2, by ARPACK's Lanczos iteration on its Gram operator
     (scipy's svds).  The start vector is fixed, so repeated runs agree bit
     for bit.  An iteration that does not converge returns NaN rather than
-    an unconverged estimate."""
+    an unconverged estimate.  A sparse matrix with no nonzero entry has
+    norm 0 and is not handed to ARPACK, whose start vector it would map to
+    zero."""
     import scipy.sparse.linalg as spla  # the sparse side only
+    if not isinstance(A, spla.LinearOperator) and A.count_nonzero() == 0:
+        return 0.0
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
     try:
         s = spla.svds(A, k=1, v0=v0, return_singular_vectors=False)

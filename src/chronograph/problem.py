@@ -295,7 +295,7 @@ def numerical_abscissa(A):
     """Largest eigenvalue of the Hermitian part (A + A*)/2; for a stack
     (k, n, n), an array of one per matrix."""
     A = np.asarray(A, dtype=complex)
-    H = 0.5 * (A + np.swapaxes(A.conj(), -2, -1))
+    H = 0.5 * (A + A.conj().mT)
     top = np.linalg.eigvalsh(H)[..., -1]  # eigenvalues ascend
     return float(top) if top.ndim == 0 else top
 

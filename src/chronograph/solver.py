@@ -5,7 +5,10 @@ block-diagonal end-of-edge propagator and F the forced terminal integrals,
 the initial values c satisfy (I - B E) c = g + B F.  Each edge is then
 integrated independently by an exponential-trapezoidal recurrence that is
 exact for the piecewise-linear forcing class, so the only nontrivial numerics
-are the matrix exponentials and the single linear solve.
+are the matrix exponentials and the single linear solve.  _exponentials is
+the one exponential stage: it takes both the propagators e^{a_j A_j} of E
+and the step triples below, one stacked call per dim group, once per
+distinct exponent.
 
 M = I - B E has the block pattern of I + B.  matfun.block_matrix holds it
 dense or sparse by the one rule stated there, and matfun.factorize gives
@@ -154,11 +157,6 @@ def edge_chunks(problem):
     return runs
 
 
-def _mT(stack):
-    """Each matrix of the stack transposed."""
-    return stack.swapaxes(-1, -2)
-
-
 def _require_valid(problem):
     violations = validate(problem)
     if violations:
@@ -195,40 +193,41 @@ def _finite(problem, e, what, x):
     raise ValueError(f"{where}{what} is not finite")
 
 
-def _exponents(problem, factor, what):
-    """Per dim group of problem.operator_groups: (edge ids, stack of A_e,
-    stack of factor[e] * A_e), each product checked finite before it
-    reaches an exponential."""
-    out = []
+def _exponentials(problem, factor, what, result, *, phi):
+    """The one exponential stage of a solve.  Per dim group of
+    problem.operator_groups, (edge ids, stack of A_e, results), where S
+    stacks factor[e] * A_e and results is (e^S,), or if phi
+    (e^S, phi1(S), phi2(S)).  Every group's S is checked finite before any
+    exponential is taken, and each group's results right after its own
+    call; what and result name an overflow as in _require_finite."""
+    scaled = []
     for edges, A in problem.operator_groups:
         scale = np.array([factor[e] for e in edges], dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             S = scale[:, None, None] * A
         _require_finite(problem, edges, (what, S))
-        out.append((edges, A, S))
-    return out
+        scaled.append((edges, A, S))
+    for edges, A, S in scaled:
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = _per_distinct(matfun.expm_phi12 if phi else matfun.expm,
+                                    S)
+        _require_finite(problem, edges, *((result, x) for x in results))
+        yield edges, A, results
 
 
 def _per_distinct(fn, S):
-    """fn(S) for a stack S of matrices, with fn evaluated on each distinct
-    matrix once and the results scattered back; fn returns a stack or a
-    tuple of stacks.  Matrices are told apart by their exact bytes:
-    np.unique would merge -0.0 with 0.0.  scipy exponentiates each matrix
-    of a stack on its own, so for expm and expm_phi12 this is fn(S) bit for
-    bit."""
-    slot = {}
-    first = []
-    inverse = []
-    for k, m in enumerate(S):
-        key = m.tobytes()
-        if key not in slot:
-            slot[key] = len(first)
-            first.append(k)
-        inverse.append(slot[key])
+    """fn(S) for a stack S of matrices as a tuple of stacks (fn returns a
+    stack or a tuple of them), with fn evaluated on each distinct matrix
+    once and the results scattered back.  Matrices are told apart by their
+    exact bytes, one void scalar each: np.unique of the numbers would merge
+    -0.0 with 0.0.  scipy exponentiates each matrix of a stack on its own,
+    so for expm and expm_phi12 this is fn(S) bit for bit."""
+    keys = S.reshape(len(S), -1).view(np.dtype((np.void, S[0].nbytes)))
+    _, first, inverse = np.unique(keys[:, 0], return_index=True,
+                                  return_inverse=True)
     out = fn(S[first])
-    if isinstance(out, tuple):
-        return tuple(x[inverse] for x in out)
-    return out[inverse]
+    return tuple(x[inverse] for x in (out if isinstance(out, tuple)
+                                      else (out,)))
 
 
 def assemble_monodromy(problem):
@@ -245,12 +244,9 @@ def assemble_monodromy(problem):
     gr = problem.graph
     off = gr.offsets()
     propagators = {}
-    for edges, _, tA in _exponents(problem, gr.lengths,
-                                lambda e: "the exponent length A"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks = _per_distinct(matfun.expm, tA)
-        _require_finite(problem, edges,
-                        ("the propagator e^(length A)", blocks))
+    for edges, _, (blocks,) in _exponentials(
+            problem, gr.lengths, "the exponent length A",
+            "the propagator e^(length A)", phi=False):
         propagators.update(zip(edges, blocks))
     slots = {(e, e): np.eye(gr.dims[e]) for e in gr.edges}
     for (i, j), m in problem.B.blocks.items():
@@ -297,16 +293,10 @@ def edge_recurrences(problem):
     """
     gr = problem.graph
     h = {e: float(gr.lengths[e]) / problem.steps_for(e) for e in gr.edges}
-
-    def step(e):
-        return f"a step operator for h = {h[e]!r}"
-
     stacks = {}  # edge -> (dim group's A and triple stacks, index in group)
-    for edges, A, hA in _exponents(problem, h, lambda e: f"the exponent h A "
-                                   f"for h = {h[e]!r}"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            triple = _per_distinct(matfun.expm_phi12, hA)
-        _require_finite(problem, edges, *((step, x) for x in triple))
+    for edges, A, triple in _exponentials(
+            problem, h, lambda e: f"the exponent h A for h = {h[e]!r}",
+            lambda e: f"a step operator for h = {h[e]!r}", phi=True):
         stacks.update((e, ((A, *triple), k)) for k, e in enumerate(edges))
     chunks = []
     for chunk in edge_chunks(problem):
@@ -323,8 +313,8 @@ def edge_recurrences(problem):
             elif isinstance(spec, SampledForcing):
                 fe[:] = spec.values
         with np.errstate(over="ignore", invalid="ignore"):
-            b = (f[:, :-1] @ _mT(hs * P1)
-                 + (f[:, 1:] - f[:, :-1]) @ _mT(hs * P2))
+            b = (f[:, :-1] @ (hs * P1).mT
+                 + (f[:, 1:] - f[:, :-1]) @ (hs * P2).mT)
         _require_finite(problem, chunk, (lambda e: f"the forcing increment "
                                          f"for h = {h[e]!r}", b))
         times = np.linspace(0.0, [float(gr.lengths[e]) for e in chunk],
@@ -349,7 +339,7 @@ def _scan(Eh, b, start):
     power = Eh
     m = 1
     while m <= K:
-        x[:, m:] += x[:, :-m] @ _mT(power)
+        x[:, m:] += x[:, :-m] @ power.mT
         m *= 2
         if m <= K:
             power = power @ power
@@ -445,7 +435,7 @@ def energy_defect_of(problem, chunks, states):
     minus_sq = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk, X in zip(chunks, states):
-            deriv = X @ _mT(chunk.A) + chunk.f
+            deriv = X @ chunk.A.mT + chunk.f
             values = np.real(np.sum(np.conj(X) * deriv, axis=-1))
             terms = np.stack([
                 _composite_simpson(values,
@@ -471,7 +461,7 @@ def _one_step_defect(problem, chunks, states):
     worst = 0.0
     for chunk, X in zip(chunks, states):
         defect = np.linalg.norm(
-            X[:, 1:] - (X[:, :-1] @ _mT(chunk.Eh) + chunk.b), axis=-1)
+            X[:, 1:] - (X[:, :-1] @ chunk.Eh.mT + chunk.b), axis=-1)
         scale = 1.0 + np.linalg.norm(X[:, :-1], axis=-1)
         _require_finite(problem, chunk.edges, ("the one-step defect", defect),
                         ("the step defect's scale 1 + ||x[k]||", scale))

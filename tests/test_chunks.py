@@ -166,8 +166,12 @@ def test_per_distinct_keeps_signed_zeros_apart_and_matches_the_stack():
     S = np.stack([A, 0.0 * A, A, -0.0 * A, 0.0 * A, 2.0 * A]).astype(complex)
     got = solver._per_distinct(counted, S)
     assert calls == [4]
+    assert len(got) == 3
     for x, want in zip(got, matfun.expm_phi12(S)):
         assert x.tobytes() == want.tobytes()
+    # a function of one stack gives a one-tuple
+    got, = solver._per_distinct(matfun.expm, S)
+    assert got.tobytes() == matfun.expm(S).tobytes()
 
 
 # Bad edges of the overflow documents: (A, length, g) with zero forcing

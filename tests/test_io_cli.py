@@ -492,6 +492,52 @@ def test_cli_singular_problem_exits_two(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+# Sparse components with no nonzero entry, which ARPACK cannot norm: a
+# commutator [blockdiag(A_j), B] that vanishes, or M = I - B E that does.
+@pytest.mark.parametrize("dim", [matfun.DENSE_BOUNDARY_MAX - 1,
+                                 matfun.DENSE_BOUNDARY_MAX],
+                         ids=["dense-side", "sparse-side"])
+def test_cli_frequency_shift_with_a_zero_commutator_block_exits_zero(
+        tmp_path, dim):
+    # A and the projection blocks are diagonal: the commutator is zero on
+    # the 2 dim x dim component of the projections
+    assert cli.run_scenario("frequency_shift", {"dim": dim, "steps": 4},
+                            out_dir=str(tmp_path)) == 0
+
+
+def zero_commutator_ring(mode, n=300):
+    """n scalar edges on a ring, every A = [[-1]], fed by themselves and by
+    their predecessors with weight 0.3: B commutes with blockdiag(A_j),
+    on one n x n component."""
+    return {"edges": [scalar_edge(k, -1.0, g=1.0, steps=4) for k in range(n)],
+            "blocks": [{"from": j % n, "to": k, "matrix": [[0.3]]}
+                       for k in range(n) for j in (k, k - 1)],
+            "mode": mode}
+
+
+@pytest.mark.parametrize("mode", ["parabolic", "schrodinger"])
+def test_cli_ring_with_a_zero_commutator_exits_zero(tmp_path, mode):
+    path = make_problem_file(tmp_path, zero_commutator_ring(mode))
+    assert cli.main(["solve", path, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["commutator_norm"] == 0.0
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare"])
+def test_cli_zero_boundary_operator_on_the_sparse_side_exits_two(
+        tmp_path, capsys, verb):
+    """300 uncoupled copies of periodic with A = [[0]]: each slot of
+    M = I - B E is 1 - 1 = 0, so the sparse M has no nonzero entry."""
+    n = 300
+    doc = {"edges": [scalar_edge(k, 0.0, f=1.0, steps=4) for k in range(n)],
+           "blocks": [{"from": k, "to": k, "matrix": [[1.0]]}
+                      for k in range(n)]}
+    path = make_problem_file(tmp_path, doc)
+    assert cli.main([verb, path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "singular" in err and "rcond = 0.000e+00" in err
+
+
 def test_cli_overflowing_propagator_exits_one_naming_the_edge(tmp_path,
                                                              capsys):
     doc = {"edges": [{"id": 0, "length": 10, "dim": 1, "A": [[80]],

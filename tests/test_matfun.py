@@ -158,6 +158,19 @@ def test_solve_linear_rejects_singular():
     assert err.value.rcond <= matfun.SINGULARITY_RCOND
 
 
+def test_all_zero_sparse_matrix_has_norm_zero_and_a_singular_solve():
+    """ARPACK maps every start vector of a matrix with no nonzero entry to
+    zero and fails; its norm is 0 without an iteration."""
+    import scipy.sparse as sp
+
+    Z = sp.csc_matrix((300, 300), dtype=complex)
+    assert matfun.lanczos_sigma_max(Z) == 0.0
+    sigma_min, sigma_max, solve = matfun.factorize(Z)
+    assert (sigma_min, sigma_max) == (0.0, 0.0)
+    with pytest.raises(matfun.SingularMatrix):
+        solve(np.ones(300, dtype=complex))
+
+
 def test_rcond_estimators():
     assert matfun.rcond_estimate(np.zeros((2, 2))) == 0.0
     assert abs(matfun.rcond_estimate(np.diag([1.0, 1e-6])) - 1e-6) <= 1e-18

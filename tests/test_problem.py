@@ -207,9 +207,12 @@ def test_block_norm_takes_lanczos_for_large_sparse_components_only(
     """Lanczos serves a component with at least DENSE_BOUNDARY_MAX rows
     and columns of which at most a quarter are nonzero; any other takes
     one dense SVD, a full block of that size too.  Both agree with the
-    dense norm within 1e-12 relative."""
+    dense norm within 1e-12 relative.  A second, all-zero set on the same
+    pattern has norm 0.0: at DENSE_BOUNDARY_MAX its component goes to the
+    Lanczos side, which returns 0.0 for it without ARPACK."""
     g, B = build(arg)
     n = g.size()
+    zero = {key: np.zeros_like(m) for key, m in B.blocks.items()}
     shapes = []
     svd_shapes = []
 
@@ -224,10 +227,12 @@ def test_block_norm_takes_lanczos_for_large_sparse_components_only(
     want = np.linalg.norm(dense_B(g, B), 2)
     monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded)
     monkeypatch.setattr(numpy.linalg._linalg, "svd", recorded_svd)
-    norm, = block_norm(g, B.blocks)
+    norm, zero_norm = block_norm(g, B.blocks, zero)
     assert abs(norm - want) <= 1e-12 * want
-    assert shapes == ([(n, n)] if lanczos else [])
-    assert svd_shapes == ([] if lanczos else [(1, n, n)])
+    assert zero_norm == 0.0
+    sparse_zero = n >= N
+    assert shapes == [(n, n)] * (lanczos + sparse_zero)
+    assert svd_shapes == [(1, n, n)] * (2 - lanczos - sparse_zero)
 
 
 @st.composite

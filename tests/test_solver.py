@@ -288,6 +288,30 @@ def test_overflowing_step_exponent_names_the_edge():
         where + "the exponent length A is not finite"
 
 
+def test_every_dim_group_exponent_is_checked_before_any_exponential():
+    """Edge 'a' (dim 1) comes first and its e^(10 * 80) overflows; edge 'b'
+    (dim 2) has a finite A whose product with its length does not.  Both
+    stages name b's exponent: every group's exponent is checked before
+    the first group's exponential is taken."""
+    p = TimeGraphProblem(
+        TimeGraph(("a", "b"), {"a": 10.0, "b": 1e10}, {"a": 1, "b": 2}),
+        (EdgeOperator("a", [[80.0]]),
+         EdgeOperator("b", [[-1e300, 0.0], [0.0, -1.0]])),
+        TransmissionOperator({}), {"a": np.array([1.0])},
+        steps={"a": 1, "b": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as step:
+            solver.edge_recurrences(p)
+        with pytest.raises(ValueError) as propagator:
+            solver.assemble_monodromy(p)
+    where = "edge 'b' (length 10000000000.0): "
+    assert str(step.value) == \
+        where + "the exponent h A for h = 10000000000.0 is not finite"
+    assert str(propagator.value) == \
+        where + "the exponent length A is not finite"
+
+
 def test_composite_simpson_quadrature():
     # one row per interval, [0, 1] and [0, 2], each with its own spacing
     f = lambda x: x ** 3 - 2.0 * x
