@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -92,14 +93,24 @@ def main(argv=None):
     return _trap(lambda: args.func(args))
 
 
-def _directory(value, option):
-    """The output directory value as a path string; anything else raises
-    ValueError naming the option."""
+def _path(value, option):
+    """A str or os.PathLike value as a path string; anything else, an open
+    file's descriptor included, raises ValueError naming the option."""
     if isinstance(value, os.PathLike):
         value = os.fspath(value)
     if not isinstance(value, str):
         raise ValueError(f"{option}: {value!r} is not a path")
     return value
+
+
+def _mapping(value, option):
+    """A Mapping value as a dict, {} for None; anything else raises
+    ValueError naming the option."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{option}: {value!r} is not a mapping")
+    return dict(value)
 
 
 def _write(out_dir, name, text):
@@ -205,8 +216,9 @@ def run_solve(path, out_dir="."):
     system); error messages go to standard error.
     """
     def work():
-        out = _directory(out_dir, "option out_dir (--out)")
-        problem, mode, _ = problem_io.load_problem_file(path)
+        file = _path(path, "argument path")
+        out = _path(out_dir, "option out_dir (--out)")
+        problem, mode, _ = problem_io.load_problem_file(file)
         return _solve_and_write(problem, mode, out)
     return _trap(work)
 
@@ -218,9 +230,10 @@ def run_scenario(scenario_id, overrides=None, out_dir="."):
     reproducible from the emitted file alone. Returns the exit code.
     """
     def work():
-        out = _directory(out_dir, "option out_dir (--out)")
+        out = _path(out_dir, "option out_dir (--out)")
+        knobs = _mapping(overrides, "argument overrides (--set)")
         try:
-            doc = scenarios.build_scenario(scenario_id, dict(overrides or {}))
+            doc = scenarios.build_scenario(scenario_id, knobs)
         except KeyError:
             print(f"error: unknown scenario {scenario_id!r}; choose from "
                   + ", ".join(scenarios.SCENARIO_IDS), file=sys.stderr)
@@ -242,7 +255,8 @@ def run_compare(path, cfg=None):
     Returns 0 within tolerance, 3 on a breach, 1/2 as for run_solve.
     """
     def work():
-        opts = dict(cfg or {})
+        file = _path(path, "argument path")
+        opts = _mapping(cfg, "argument cfg")
         cn_steps_req = opts.pop("cn_steps", DEFAULT_CN_STEPS)
         tol = opts.pop("tol", DEFAULT_TOL)
         out_dir = opts.pop("out", ".")
@@ -259,8 +273,8 @@ def run_compare(path, cfg=None):
                 or not (math.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"compare option tol (--tol): {tol!r} is not a "
                              "finite number >= 0")
-        out_dir = _directory(out_dir, "compare option out (--out)")
-        return _compare(path, int(cn_steps_req), float(tol), out_dir)
+        out_dir = _path(out_dir, "compare option out (--out)")
+        return _compare(file, int(cn_steps_req), float(tol), out_dir)
     return _trap(work)
 
 

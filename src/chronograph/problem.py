@@ -21,17 +21,6 @@ DEFAULT_STEPS = 100
 
 
 @dataclass(frozen=True)
-class EdgeOperator:
-    """The square matrix driving one edge: d/dt psi = A psi + f."""
-
-    edge: object
-    A: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=complex))
-
-
-@dataclass(frozen=True)
 class TransmissionOperator:
     """Block matrix coupling terminal to initial edge values; absent blocks are zero.
 
@@ -148,44 +137,30 @@ class SampledForcing:
 
 
 @dataclass(frozen=True)
-class Forcing:
-    """Per-edge forcing; edges without an entry get zero forcing."""
-
-    per_edge: dict
-
-    @staticmethod
-    def zero():
-        return Forcing({})
-
-    def spec_for(self, edge):
-        return self.per_edge.get(edge, ZeroForcing())
-
-
-@dataclass(frozen=True)
 class TimeGraphProblem:
+    """Per-edge data in dicts keyed by edge id, coupled only through B.
+
+    operators holds each edge's square A_j of d/dt psi = A_j psi + f_j and
+    g its transmission inhomogeneity, both converted to complex; forcing
+    holds its ZeroForcing, ConstantForcing or SampledForcing, and steps its
+    step count.  An edge absent from g, forcing or steps gets zero, zero or
+    DEFAULT_STEPS.
+    """
+
     graph: TimeGraph
-    operators: tuple
+    operators: dict
     B: TransmissionOperator
     g: dict = field(default_factory=dict)
-    forcing: Forcing = field(default_factory=Forcing.zero)
+    forcing: dict = field(default_factory=dict)
     steps: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(self.operators))
+        object.__setattr__(self, "operators", {
+            e: np.asarray(A, dtype=complex)
+            for e, A in self.operators.items()})
         object.__setattr__(self, "g", {
             e: np.asarray(v, dtype=complex).reshape(-1)
             for e, v in self.g.items()})
-
-        index = {}  # first operator per edge wins; validate reports duplicates
-        for op in self.operators:
-            index.setdefault(op.edge, op.A)
-        object.__setattr__(self, "_operator_index", index)
-
-    def operator(self, edge):
-        try:
-            return self._operator_index[edge]
-        except KeyError:
-            raise KeyError(f"no operator for edge {edge!r}") from None
 
     @cached_property
     def operator_groups(self):
@@ -194,7 +169,7 @@ class TimeGraphProblem:
         groups = {}
         for e in self.graph.edges:
             groups.setdefault(self.graph.dims[e], []).append(e)
-        return tuple((edges, np.stack([self.operator(e) for e in edges]))
+        return tuple((edges, np.stack([self.operators[e] for e in edges]))
                      for edges in groups.values())
 
     def steps_for(self, edge):
@@ -223,7 +198,7 @@ def forcing_node_values(problem, edge, times):
     Sampled forcing is defined on the edge grid and evaluated piecewise
     linearly elsewhere, matching how the integrator treats it.
     """
-    spec = problem.forcing.spec_for(edge)
+    spec = problem.forcing.get(edge, ZeroForcing())
     if isinstance(spec, ZeroForcing):
         return np.zeros((len(times), problem.graph.dims[edge]), dtype=complex)
     if isinstance(spec, ConstantForcing):
@@ -246,19 +221,15 @@ def validate(problem):
             v.append(f"graph.lengths[{e!r}]: must be strictly positive")
         if e not in gr.dims or int(gr.dims[e]) < 1:
             v.append(f"graph.dims[{e!r}]: must be >= 1")
-    seen = set()
-    for op in problem.operators:
-        if op.edge not in edges:
-            v.append(f"operators[{op.edge!r}]: unknown edge")
+    for e, A in problem.operators.items():
+        if e not in edges:
+            v.append(f"operators[{e!r}]: unknown edge")
             continue
-        if op.edge in seen:
-            v.append(f"operators[{op.edge!r}]: duplicate operator")
-        seen.add(op.edge)
-        d = gr.dims[op.edge]
-        if op.A.shape != (d, d):
-            v.append(f"operators[{op.edge!r}].A: shape {op.A.shape} != ({d}, {d})")
+        d = gr.dims[e]
+        if A.shape != (d, d):
+            v.append(f"operators[{e!r}].A: shape {A.shape} != ({d}, {d})")
     for e in gr.edges:
-        if e not in seen:
+        if e not in problem.operators:
             v.append(f"operators[{e!r}]: missing")
     for (i, j), m in problem.B.blocks.items():
         if i not in edges or j not in edges:
@@ -277,7 +248,7 @@ def validate(problem):
             v.append(f"steps[{e!r}]: unknown edge")
         elif int(k) < 1:
             v.append(f"steps[{e!r}]: must be >= 1")
-    for e, spec in problem.forcing.per_edge.items():
+    for e, spec in problem.forcing.items():
         if e not in edges:
             v.append(f"forcing[{e!r}]: unknown edge")
             continue
@@ -335,9 +306,9 @@ def diagnose(problem, mono):
         mu.update(zip(edges, numerical_abscissa(A).tolist()))
     mu = {e: mu[e] for e in gr.edges}
     # the commutator's (i, j) block is A_i B_ij - B_ij A_j: B's pattern
-    op, blocks = problem.operator, problem.B.blocks
+    A, blocks = problem.operators, problem.B.blocks
     B_norm, comm = block_norm(gr, blocks, {
-        (i, j): op(i) @ m - m @ op(j) for (i, j), m in blocks.items()})
+        (i, j): A[i] @ m - m @ A[j] for (i, j), m in blocks.items()})
     worst = max(mu.values())
     met = (worst <= 0.0 and B_norm < 1.0) or \
           (worst < 0.0 and B_norm <= 1.0 + _NORM_ONE_SLACK)

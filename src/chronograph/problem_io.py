@@ -27,9 +27,9 @@ import jsonschema
 import numpy as np
 
 from .graph import TimeGraph
-from .problem import (DEFAULT_STEPS, ConstantForcing, EdgeOperator, Forcing,
-                      SampledForcing, TimeGraphProblem, TransmissionOperator,
-                      ZeroForcing, validate)
+from .problem import (DEFAULT_STEPS, ConstantForcing, SampledForcing,
+                      TimeGraphProblem, TransmissionOperator, ZeroForcing,
+                      validate)
 
 
 class ProblemFileError(Exception):
@@ -264,10 +264,10 @@ def _matrix(value, rows, cols, where, errors):
     return arr
 
 
-def _vector(value, d, where, errors, rows_ok):
-    """Float array of a JSON list of d numbers, or None after appending
+def _vector(value, d, where, errors):
+    """Float array of a flat JSON list of d numbers, or None after appending
     errors."""
-    vec = _numbers(value, where, errors, rows_ok)
+    vec = _numbers(value, where, errors, rows_ok=False)
     if vec is None:
         return None
     if vec.shape != (d,):
@@ -356,10 +356,10 @@ def load_problem_dict(doc):
     errors = []
     edges = []
     lengths = {}
-    operators = []
+    operators = {}
     g = {}
     steps = {}
-    forcing_map = {}
+    forcing = {}
     seen = {}  # an id and its text form -> index of the first edge
     for k, e in enumerate(doc["edges"]):
         where = f"edges/{k}"
@@ -384,11 +384,11 @@ def load_problem_dict(doc):
         if A is None:
             A = _matrix(e["A"], d, d, f"{where}/A", errors)
         if A is not None:
-            operators.append(EdgeOperator(eid, A))
+            operators[eid] = A
         if "g" in e:
             vec = g_arrays[k]
             if vec is None:
-                vec = _vector(e["g"], d, f"{where}/g", errors, rows_ok=False)
+                vec = _vector(e["g"], d, f"{where}/g", errors)
             if vec is not None:
                 g[eid] = vec
         f = e.get("f", {"kind": "zero"})
@@ -401,9 +401,9 @@ def load_problem_dict(doc):
             val = f_arrays[k]
             if val is None:
                 val = _vector(f.get("value", []), d, f"{where}/f/value",
-                              errors, rows_ok=True)
+                              errors)
             if val is not None:
-                forcing_map[eid] = ConstantForcing(val)
+                forcing[eid] = ConstantForcing(val)
         else:
             val = _numbers(f.get("value", []), f"{where}/f/value", errors)
             if val is None:
@@ -415,7 +415,7 @@ def load_problem_dict(doc):
                     f"{where}/f/value: samples shape {val.shape} != "
                     f"({steps[eid] + 1}, {d})")
             else:
-                forcing_map[eid] = SampledForcing(val)
+                forcing[eid] = SampledForcing(val)
 
     blocks = {}
     first = {}
@@ -441,10 +441,10 @@ def load_problem_dict(doc):
 
     problem = TimeGraphProblem(
         graph=TimeGraph(tuple(edges), lengths, dims),
-        operators=tuple(operators),
+        operators=operators,
         B=TransmissionOperator(blocks),
         g=g,
-        forcing=Forcing(forcing_map),
+        forcing=forcing,
         steps=steps,
     )
     violations = validate(problem)
@@ -473,10 +473,10 @@ def problem_to_dict(problem, mode, options):
             "id": e,
             "length": float(gr.lengths[e]),
             "dim": int(gr.dims[e]),
-            "A": _real_lists(problem.operator(e)),
+            "A": _real_lists(problem.operators[e]),
             "steps": problem.steps_for(e),
         }
-        spec = problem.forcing.spec_for(e)
+        spec = problem.forcing.get(e, ZeroForcing())
         if isinstance(spec, ZeroForcing):
             entry["f"] = {"kind": "zero"}
         elif isinstance(spec, ConstantForcing):

@@ -50,8 +50,8 @@ from itertools import groupby
 import numpy as np
 
 from . import matfun
-from .problem import (ConstantForcing, EdgeOperator, SampledForcing,
-                      ZeroForcing, stack_edge_values, validate)
+from .problem import (ConstantForcing, SampledForcing, ZeroForcing,
+                      stack_edge_values, validate)
 
 MILD = "MILD"
 STRONG = "STRONG"
@@ -307,7 +307,7 @@ def edge_recurrences(problem):
         steps = problem.steps_for(chunk[0])
         f = np.zeros((len(chunk), steps + 1, A.shape[-1]), dtype=complex)
         for fe, e in zip(f, chunk):
-            spec = problem.forcing.spec_for(e)
+            spec = problem.forcing.get(e, ZeroForcing())
             if isinstance(spec, ConstantForcing):
                 fe[:] = spec.value
             elif isinstance(spec, SampledForcing):
@@ -541,8 +541,7 @@ def resolvent_Dt(problem, lam):
     singular exactly when lam hits the transmission operator's point spectrum.
     """
     gr = problem.graph
-    ops = tuple(EdgeOperator(e, complex(lam) * np.eye(gr.dims[e]))
-                for e in gr.edges)
+    ops = {e: complex(lam) * np.eye(gr.dims[e]) for e in gr.edges}
     return solve(replace(problem, operators=ops))
 
 
@@ -555,7 +554,8 @@ def solution_grade(problem, report=None):
     are finite, else MILD.  Each forcing spec's own data is tested, so no
     forcing is sampled here.  Reported, not proved.
     """
-    specs = [problem.forcing.spec_for(e) for e in problem.graph.edges]
+    specs = [problem.forcing.get(e, ZeroForcing())
+             for e in problem.graph.edges]
     data = [spec.values if isinstance(spec, SampledForcing) else spec.value
             for spec in specs if not isinstance(spec, ZeroForcing)]
     if all(np.all(np.isfinite(d)) for d in data):

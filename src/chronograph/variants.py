@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 
 from . import matfun, solver
-from .problem import (EdgeOperator, Forcing, SampledForcing, TimeGraphProblem,
-                      block_norm, stack_edge_values)
+from .problem import (SampledForcing, TimeGraphProblem, block_norm,
+                      stack_edge_values)
 
 
 class NonCommuting(Exception):
@@ -33,15 +33,18 @@ class HypothesesNotMet(Exception):
 @dataclass(frozen=True)
 class SecondOrderProblem:
     """d^2/dt^2 psi = A psi + f with Hermitian invertible A_j and two
-    transmission conditions, one per factor of the factorization."""
+    transmission conditions, one per factor of the factorization.
+
+    operators, g1, g2, forcing and steps are dicts keyed by edge id, as in
+    TimeGraphProblem; an edge without forcing has zero forcing."""
 
     graph: object
-    operators: tuple
+    operators: dict
     B1: object
     B2: object
     g1: dict = field(default_factory=dict)
     g2: dict = field(default_factory=dict)
-    forcing: Forcing = field(default_factory=Forcing.zero)
+    forcing: dict = field(default_factory=dict)
     steps: dict = field(default_factory=dict)
 
 
@@ -67,15 +70,15 @@ def schrodinger_effective(problem):
     """The problem with generators i H_j, H_j = (A_j + A_j*)/2 exactly, so
     each generator is skew-Hermitian bit for bit; an edge whose A_j is not
     Hermitian raises NotHermitian naming the edge."""
-    ops = []
+    ops = {}
     for e in problem.graph.edges:
         try:
-            H = matfun.hermitian_part(problem.operator(e))
+            H = matfun.hermitian_part(problem.operators[e])
         except matfun.NotHermitian as exc:
             raise matfun.NotHermitian(f"edge {e!r}: A is not Hermitian: "
                                       f"{exc}") from None
-        ops.append(EdgeOperator(e, 1j * H))
-    return replace(problem, operators=tuple(ops))
+        ops[e] = 1j * H
+    return replace(problem, operators=ops)
 
 
 _COMMUTATOR_TOL = 1e-10
@@ -118,15 +121,14 @@ def unitarity_check(report, problem):
 def _sqrt_abs_operators(p: SecondOrderProblem):
     """S_j = |A_j|^{1/2} per edge; A_j must be Hermitian and invertible."""
     out = {}
-    for op in p.operators:
-        w, V = matfun.hermitian_eig(op.A)
+    for e, A in p.operators.items():
+        w, V = matfun.hermitian_eig(A)
         scale = max(np.max(np.abs(w)), 1.0)
         if np.min(np.abs(w)) <= 1e-12 * scale:
             raise ValueError(
-                f"edge {op.edge!r}: operator numerically singular, no"
+                f"edge {e!r}: operator numerically singular, no"
                 " invertible square root")
-        out[op.edge] = matfun.funm_hermitian((w, V),
-                                             lambda x: math.sqrt(abs(x)))
+        out[e] = matfun.funm_hermitian((w, V), lambda x: math.sqrt(abs(x)))
     return out
 
 
@@ -141,16 +143,16 @@ def second_order_solve(p: SecondOrderProblem):
     """
     S = _sqrt_abs_operators(p)
     gr = p.graph
-    ops1 = tuple(EdgeOperator(e, -1j * S[e]) for e in gr.edges)
+    ops1 = {e: -1j * S[e] for e in gr.edges}
     stage1 = TimeGraphProblem(gr, ops1, p.B2, dict(p.g2), p.forcing,
                               dict(p.steps))
     try:
         report1 = solver.solve(stage1)
     except solver.NotWellPosed as exc:
         raise solver.NotWellPosed(exc.rcond, stage=1) from exc
-    handoff = Forcing({e: SampledForcing(report1.solutions[e].states.copy())
-                       for e in gr.edges})
-    ops2 = tuple(EdgeOperator(e, 1j * S[e]) for e in gr.edges)
+    handoff = {e: SampledForcing(report1.solutions[e].states.copy())
+               for e in gr.edges}
+    ops2 = {e: 1j * S[e] for e in gr.edges}
     stage2 = TimeGraphProblem(gr, ops2, p.B1, dict(p.g1), handoff,
                               dict(p.steps))
     try:
@@ -164,7 +166,7 @@ _ENTRYWISE_TOL = 1e-12
 
 
 def _is_real_problem(problem, chunks):
-    if any(np.max(np.abs(problem.operator(e).imag)) > 0.0
+    if any(np.max(np.abs(problem.operators[e].imag)) > 0.0
            for e in problem.graph.edges):
         return False
     if any(np.max(np.abs(m.imag)) > 0.0 for m in problem.B.blocks.values()):
@@ -221,7 +223,7 @@ def verify_mapping_properties(report, problem, strict=False):
            for m in problem.B.blocks.values()):
         failed.append("B_entrywise_nonnegative")
         operators_ok = False
-    if not all(_metzler(problem.operator(e)) for e in gr.edges):
+    if not all(_metzler(problem.operators[e]) for e in gr.edges):
         failed.append("A_metzler")
         operators_ok = False
     Minv = np.linalg.inv(report.monodromy.dense())

@@ -16,8 +16,8 @@ from chronograph import oracle, scenarios, solver, variants
 from chronograph.graph import (CAUCHY_SEQUENCE, GLOBAL_ONLY, IVP_SEQUENCE,
                                BlockPattern, TimeGraph, classify_solvability,
                                pattern_of)
-from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
-                                 TimeGraphProblem, TransmissionOperator)
+from chronograph.problem import (ConstantForcing, TimeGraphProblem,
+                                 TransmissionOperator)
 from conftest import preset
 
 
@@ -151,10 +151,10 @@ def test_energy_identity_quadrature_order():
             d = A.shape[0]
             p = TimeGraphProblem(
                 graph=TimeGraph((0,), {0: 1.0}, {0: d}),
-                operators=(EdgeOperator(0, A),),
+                operators={0: A},
                 B=TransmissionOperator({(0, 0): B}),
                 g={0: g},
-                forcing=Forcing({0: ConstantForcing(f)}),
+                forcing={0: ConstantForcing(f)},
                 steps={0: steps},
             )
             defects.append(solver.solve(p).energy_defect)
@@ -186,7 +186,7 @@ def test_oscillatory_unitarity_classification():
         B = (V * (2.0 * np.cos(a * w))) @ V.conj().T
         base = TimeGraphProblem(
             graph=TimeGraph((0,), {0: a}, {0: d}),
-            operators=(EdgeOperator(0, H),),
+            operators={0: H},
             B=TransmissionOperator({(0, 0): B}),
             g={0: r.standard_normal(d)},
         )
@@ -197,7 +197,7 @@ def test_oscillatory_unitarity_classification():
 
     counter = TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
-        operators=(EdgeOperator(0, np.array([[math.pi / 2.0]])),),
+        operators={0: np.array([[math.pi / 2.0]])},
         B=TransmissionOperator({(0, 0): np.array([[1.0]])}),
         g={0: np.ones(1)},
     )
@@ -224,10 +224,10 @@ def test_positivity_preservation():
             B *= 0.8 / rho
         p = TimeGraphProblem(
             graph=TimeGraph((0,), {0: a}, {0: d}),
-            operators=(EdgeOperator(0, A),),
+            operators={0: A},
             B=TransmissionOperator({(0, 0): B}),
             g={0: r.uniform(0.0, 2.0, d)},
-            forcing=Forcing({0: ConstantForcing(r.uniform(0.0, 1.0, d))}),
+            forcing={0: ConstantForcing(r.uniform(0.0, 1.0, d))},
             steps={0: 60},
         )
         rep = variants.verify_mapping_properties(solver.solve(p), p)
@@ -257,7 +257,7 @@ def test_second_order_factorization_matches_reference():
     steps = 2000
     p = variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
-        operators=(EdgeOperator(0, np.array([[-omega ** 2]])),),
+        operators={0: np.array([[-omega ** 2]])},
         B1=TransmissionOperator({}),
         B2=TransmissionOperator({}),
         g1={0: np.array([x0], dtype=complex)},

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from chronograph import cli, matfun, problem_io, scenarios, solver
-from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
-                                 SampledForcing, TransmissionOperator,
-                                 ZeroForcing)
+from chronograph.problem import (ConstantForcing, SampledForcing,
+                                 TransmissionOperator, ZeroForcing)
 from chronograph.problem_io import (ProblemFileError, atomic_write,
                                     canonical_json, format_number,
                                     load_problem_dict, load_problem_file,
@@ -80,7 +79,7 @@ def test_load_accepts_flat_matrices():
     doc = json.loads(json.dumps(MINIMAL))
     doc["edges"][0]["A"] = [-1.0]
     problem, _, _ = load_problem_dict(doc)
-    assert problem.operator(0)[0, 0] == -1.0
+    assert problem.operators[0][0, 0] == -1.0
 
 
 def test_load_rejects_schema_violations():
@@ -140,7 +139,7 @@ def test_problem_round_trip_preserves_model():
         p2, _, _ = load_problem_dict(emitted)
         assert p1.graph == p2.graph
         for e in p1.graph.edges:
-            assert np.array_equal(p1.operator(e), p2.operator(e))
+            assert np.array_equal(p1.operators[e], p2.operators[e])
         assert set(p1.B.blocks) == set(p2.B.blocks)
         for k in p1.B.blocks:
             assert np.array_equal(p1.B.blocks[k], p2.B.blocks[k])
@@ -172,9 +171,9 @@ def per_entry_problem_to_dict(problem, mode, options):
     for e in gr.edges:
         entry = {"id": e, "length": float(gr.lengths[e]),
                  "dim": int(gr.dims[e]),
-                 "A": [[real(x) for x in row] for row in problem.operator(e)],
+                 "A": [[real(x) for x in row] for row in problem.operators[e]],
                  "steps": problem.steps_for(e)}
-        spec = problem.forcing.spec_for(e)
+        spec = problem.forcing.get(e, ZeroForcing())
         if isinstance(spec, ZeroForcing):
             entry["f"] = {"kind": "zero"}
         elif isinstance(spec, ConstantForcing):
@@ -225,10 +224,10 @@ def test_problem_to_dict_refuses_complex_data_as_the_per_entry_writer(where):
     problem, _, _ = load_problem_dict(MINIMAL)
     tiny = 5e-324j
     change = {
-        "A": {"operators": (EdgeOperator(0, [[-1.0 + tiny]]),)},
+        "A": {"operators": {0: [[-1.0 + tiny]]}},
         "g": {"g": {0: [1.0 + tiny]}},
-        "constant": {"forcing": Forcing({0: ConstantForcing([tiny])})},
-        "samples": {"forcing": Forcing({0: SampledForcing([0.0, tiny])})},
+        "constant": {"forcing": {0: ConstantForcing([tiny])}},
+        "samples": {"forcing": {0: SampledForcing([0.0, tiny])}},
         "block": {"B": TransmissionOperator({(0, 0): [[tiny]]})}}[where]
     problem = dataclasses.replace(problem, **change)
     for write in (problem_to_dict, per_entry_problem_to_dict):
@@ -262,11 +261,10 @@ def test_solution_csv_layout():
 def test_solution_csv_pads_mixed_dimensions():
     from chronograph import solver
     from chronograph.graph import TimeGraph
-    from chronograph.problem import (EdgeOperator, TimeGraphProblem,
-                                     TransmissionOperator)
+    from chronograph.problem import TimeGraphProblem, TransmissionOperator
     p = TimeGraphProblem(
         graph=TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 1, 1: 2}),
-        operators=(EdgeOperator(0, -np.eye(1)), EdgeOperator(1, -np.eye(2))),
+        operators={0: -np.eye(1), 1: -np.eye(2)},
         B=TransmissionOperator({}),
         g={0: np.ones(1), 1: np.ones(2)},
         steps={0: 2, 1: 2},
@@ -1059,6 +1057,56 @@ def test_run_verbs_take_a_path_object_as_out(tmp_path):
                                                   "report.json",
                                                   "solution.csv"]
     assert os.listdir(tmp_path / "c") == ["compare.json"]
+
+
+def run_with_path(verb, path, out_dir):
+    if verb == "solve":
+        return cli.run_solve(path, out_dir=out_dir)
+    return cli.run_compare(path, {"cn_steps": 200, "out": out_dir})
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare"])
+def test_run_verbs_do_not_read_a_file_descriptor_as_path(tmp_path, capsys,
+                                                         verb):
+    """An open file's descriptor is refused, not read and closed: the
+    caller's file stays open and unread."""
+    path = make_problem_file(tmp_path, MINIMAL)
+    with open(path, encoding="utf-8") as fh:
+        assert run_with_path(verb, fh.fileno(), tmp_path) == 1
+        assert one_error_line(capsys) == \
+            f"argument path: {fh.fileno()} is not a path"
+        assert json.loads(fh.read()) == MINIMAL
+    assert os.listdir(tmp_path) == ["problem.json"]
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare"])
+@pytest.mark.parametrize("path", [None, b"problem.json", 1.5])
+def test_run_verbs_refuse_a_path_that_is_not_a_path(tmp_path, capsys,
+                                                    monkeypatch, verb, path):
+    monkeypatch.chdir(tmp_path)
+    make_problem_file(tmp_path, MINIMAL)
+    assert run_with_path(verb, path, tmp_path) == 1
+    assert one_error_line(capsys) == f"argument path: {path!r} is not a path"
+    assert os.listdir(tmp_path) == ["problem.json"]
+
+
+@pytest.mark.parametrize("verb, value", [
+    ("compare", [1]), ("compare", "abc"), ("compare", [("tol", 1.0)]),
+    ("scenario", "steps"), ("scenario", [("steps", 4)])])
+def test_run_verbs_refuse_options_that_are_not_a_mapping(tmp_path, capsys,
+                                                         monkeypatch, verb,
+                                                         value):
+    monkeypatch.chdir(tmp_path)
+    if verb == "compare":
+        code = cli.run_compare(make_problem_file(tmp_path, MINIMAL), value)
+        argument = "argument cfg"
+    else:
+        code = cli.run_scenario("periodic", value, out_dir=tmp_path)
+        argument = "argument overrides (--set)"
+    assert code == 1
+    assert one_error_line(capsys) == f"{argument}: {value!r} is not a mapping"
+    assert sorted(os.listdir(tmp_path)) == (
+        ["problem.json"] if verb == "compare" else [])
 
 
 def exit_code(argv):

@@ -5,10 +5,10 @@ import scipy.linalg as la
 from chronograph import matfun, oracle, scenarios, solver
 from chronograph.graph import (GLOBAL_ONLY, BlockPattern, classify_solvability,
                                pattern_of)
-from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
-                                 SampledForcing, TimeGraphProblem,
-                                 TransmissionOperator, forcing_node_values,
-                                 stack_edge_values, validate)
+from chronograph.problem import (ConstantForcing, SampledForcing,
+                                 TimeGraphProblem, TransmissionOperator,
+                                 forcing_node_values, stack_edge_values,
+                                 validate)
 from chronograph.graph import TimeGraph
 from chronograph.solver import EdgeSolution, NotWellPosed
 from conftest import preset
@@ -51,7 +51,7 @@ def per_edge_cn_solve(problem, steps_per_edge):
     F_parts = {}
     for e in gr.edges:
         times = np.linspace(0.0, float(gr.lengths[e]), N + 1)
-        P, r = _cn_edge_maps(problem.operator(e), gr.lengths[e],
+        P, r = _cn_edge_maps(problem.operators[e], gr.lengths[e],
                              forcing_node_values(problem, e, times))
         maps[e] = (P, times, r)
         terminal[e] = np.linalg.matrix_power(P, N)
@@ -105,11 +105,10 @@ def mixed_problem(dims, seed):
     pairs = list(zip(edges[1:], edges)) + [(edges[0], edges[-1])]
     return TimeGraphProblem(
         TimeGraph(edges, {e: float(rng.uniform(0.3, 1.7)) for e in edges}, d),
-        tuple(EdgeOperator(e, cplx(d[e], d[e]) - 2.0 * np.eye(d[e]))
-              for e in edges),
+        {e: cplx(d[e], d[e]) - 2.0 * np.eye(d[e]) for e in edges},
         TransmissionOperator({(i, j): 0.4 * cplx(d[i], d[j]) / d[j]
                               for i, j in pairs}),
-        {edges[0]: cplx(d[edges[0]])}, Forcing(forcing), steps)
+        {edges[0]: cplx(d[edges[0]])}, forcing, steps)
 
 
 def _assert_same_trajectories(problem, N):
@@ -165,7 +164,7 @@ def test_reference_solver_second_order_convergence():
 def test_reference_solver_detects_singular_boundary():
     p = TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}),
-        (EdgeOperator(0, np.zeros((1, 1))),),
+        {0: np.zeros((1, 1))},
         TransmissionOperator({(0, 0): np.array([[1.0]])}),
         {0: np.array([1.0])})
     with pytest.raises(solver.NotWellPosed):
@@ -173,7 +172,7 @@ def test_reference_solver_detects_singular_boundary():
 
 
 def test_reference_solver_validates_input():
-    p = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 1}), (),
+    p = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 1}), {},
                          TransmissionOperator({}))
     with pytest.raises(ValueError):
         oracle.cn_solve(p, 100)
@@ -192,7 +191,7 @@ def test_picard_agrees_with_direct_boundary_solve():
 def test_picard_raises_on_expanding_loop():
     p = TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}),
-        (EdgeOperator(0, np.zeros((1, 1))),),
+        {0: np.zeros((1, 1))},
         TransmissionOperator({(0, 0): np.array([[1.5]])}),
         {0: np.array([1.0])})
     report = solver.solve(p)

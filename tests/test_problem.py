@@ -1,3 +1,6 @@
+import math
+import pathlib
+
 import numpy as np
 import numpy.linalg._linalg
 import pytest
@@ -5,9 +8,8 @@ from hypothesis import example, given, strategies as st
 
 from chronograph import matfun
 from chronograph.graph import TimeGraph
-from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
-                                 SampledForcing, TimeGraphProblem,
-                                 TransmissionOperator, ZeroForcing,
+from chronograph.problem import (ConstantForcing, SampledForcing,
+                                 TimeGraphProblem, TransmissionOperator,
                                  block_norm, diagnose, forcing_node_values,
                                  numerical_abscissa, stack_edge_values,
                                  validate)
@@ -16,17 +18,30 @@ from conftest import dense_B
 
 
 def scalar_problem(A=-1.0, B=1.0, g=None, f=1.0, steps=100, length=1.0):
-    forcing = Forcing({0: ConstantForcing(np.array([f]))}) if f is not None \
-        else Forcing.zero()
+    forcing = {0: ConstantForcing(np.array([f]))} if f is not None else {}
     return TimeGraphProblem(
         graph=TimeGraph((0,), {0: length}, {0: 1}),
-        operators=(EdgeOperator(0, np.array([[A]])),),
+        operators={0: np.array([[A]])},
         B=TransmissionOperator({(0, 0): np.array([[B]])} if B is not None
                                else {}),
         g={0: np.array([g])} if g is not None else {},
         forcing=forcing,
         steps={0: steps},
     )
+
+
+def test_readme_library_use_runs_as_written(capsys):
+    """The README's "Library use" example, run as written: x' = -x + 1 on
+    [0, 1] with x(0) = 2 x(1) starts at 2 (e - 1) / (e - 2)."""
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    start = scope["report"].solutions[0].states[0]
+    assert start == pytest.approx([2.0 * (math.e - 1.0) / (math.e - 2.0)],
+                                  rel=1e-12)
+    assert capsys.readouterr().out.startswith(f"{start} ")
 
 
 def test_valid_problem_has_no_violations():
@@ -36,7 +51,7 @@ def test_valid_problem_has_no_violations():
 def test_validate_collects_structural_violations():
     p = TimeGraphProblem(
         graph=TimeGraph((0, 0), {0: -1.0}, {0: 0}),
-        operators=(EdgeOperator(0, np.eye(2)),),
+        operators={0: np.eye(2)},
         B=TransmissionOperator({}),
     )
     msgs = "\n".join(validate(p))
@@ -47,16 +62,16 @@ def test_validate_collects_structural_violations():
 
 def test_validate_checks_operator_shape_and_presence():
     g = TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 2, 1: 1})
-    p = TimeGraphProblem(g, (EdgeOperator(0, np.eye(3)),),
+    p = TimeGraphProblem(g, {0: np.eye(3), 7: np.eye(1)},
                          TransmissionOperator({}))
-    msgs = "\n".join(validate(p))
-    assert "shape" in msgs
-    assert "operator" in msgs  # edge 1 has none
+    assert validate(p) == ["operators[0].A: shape (3, 3) != (2, 2)",
+                           "operators[7]: unknown edge",
+                           "operators[1]: missing"]
 
 
 def test_validate_checks_block_shapes_and_keys():
     g = TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 2, 1: 1})
-    ops = (EdgeOperator(0, np.zeros((2, 2))), EdgeOperator(1, np.zeros((1, 1))))
+    ops = {0: np.zeros((2, 2)), 1: np.zeros((1, 1))}
     bad_shape = TimeGraphProblem(g, ops, TransmissionOperator(
         {(0, 1): np.ones((1, 1))}))  # should be 2 x 1
     assert any("B[0,1]" in m and "shape" in m for m in validate(bad_shape))
@@ -75,13 +90,13 @@ def test_validate_checks_data_lengths():
     assert any("steps" in m for m in validate(wrong_steps))
     wrong_samples = TimeGraphProblem(
         p.graph, p.operators, p.B, {},
-        Forcing({0: SampledForcing(np.zeros((5, 1)))}), {0: 100})
+        {0: SampledForcing(np.zeros((5, 1)))}, {0: 100})
     assert any("forcing" in m or "samples" in m for m in validate(wrong_samples))
 
 
 def test_validate_never_raises_on_junk():
     g = TimeGraph((0,), {0: 1.0}, {0: 1})
-    p = TimeGraphProblem(g, (), TransmissionOperator({}), {0: np.array([1.0])})
+    p = TimeGraphProblem(g, {}, TransmissionOperator({}), {0: np.array([1.0])})
     assert isinstance(validate(p), list)
 
 
@@ -107,7 +122,7 @@ def test_forcing_node_values_resamples_linearly():
     p = scalar_problem(steps=4)
     ramp = np.linspace(0.0, 1.0, 5)[:, None]
     q = TimeGraphProblem(p.graph, p.operators, p.B, {},
-                         Forcing({0: SampledForcing(ramp)}), {0: 4})
+                         {0: SampledForcing(ramp)}, {0: 4})
     coarse = forcing_node_values(q, 0, times=np.array([0.0, 0.375, 1.0]))
     assert np.allclose(coarse[:, 0], [0.0, 0.375, 1.0], atol=1e-15)
 
@@ -340,14 +355,3 @@ def test_diagnose_flags_unmet_condition():
     expanding = diagnose_alone(scalar_problem(A=-1.0, B=2.0))
     assert not expanding.sufficient_condition_met
 
-
-def test_operator_lookup_fails_for_unknown_edge():
-    p = scalar_problem()
-    with pytest.raises(KeyError):
-        p.operator(42)
-
-
-def test_forcing_descriptor_lookup():
-    p = scalar_problem()
-    assert isinstance(p.forcing.spec_for(0), ConstantForcing)
-    assert isinstance(Forcing.zero().spec_for(0), ZeroForcing)

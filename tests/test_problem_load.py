@@ -443,9 +443,22 @@ def test_zero_forcing_with_a_value_is_rejected_with_its_path():
 
 def test_mixed_depth_forcing_is_rejected_with_its_path():
     doc = _two_edge_doc()
-    doc["edges"][0]["f"]["value"] = [1.0, [1.0]]
+    doc["edges"][0]["f"] = {"kind": "samples", "value": [1.0, [1.0]]}
     assert _messages(doc) == [
         "edges/0/f/value/1: mixed depth, a row among numbers"]
+
+
+@pytest.mark.parametrize("edge, value", [(1, [[1.0]]), (0, [[1.0, 2.0]])],
+                         ids=["dim-1", "dim-2"])
+def test_constant_forcing_given_as_rows_is_refused_as_g_is(edge, value):
+    """A constant is read flat, as g is: a row in it is not a number."""
+    for key in ("g", "f"):
+        doc = _two_edge_doc()
+        doc["edges"][edge][key] = (value if key == "g" else
+                                   {"kind": "constant", "value": value})
+        where = f"edges/{edge}/{key}" + ("/value" if key == "f" else "")
+        assert _messages(doc) == [
+            f"{where}/0: {value[0]!r} is not of type 'number'"]
 
 
 @pytest.mark.parametrize("where, set_nan", [
@@ -497,7 +510,7 @@ def test_numpy_scalars_are_numbers():
                             [np.float32(0.0), -1]]
     doc["edges"][0]["g"] = [np.float64(1.0), 0.0]
     problem, _, _ = load_problem_dict(doc)
-    assert np.array_equal(problem.operator(0), -np.eye(2))
+    assert np.array_equal(problem.operators[0], -np.eye(2))
     assert np.array_equal(problem.g[0], [1.0, 0.0])
 
 
@@ -567,9 +580,10 @@ def _loads_as_given(doc, problem):
 
     for e in doc["edges"]:
         d = e["dim"]
-        assert np.array_equal(problem.operator(e["id"]), given(e["A"], (d, d)))
+        assert np.array_equal(problem.operators[e["id"]],
+                              given(e["A"], (d, d)))
         assert np.array_equal(problem.g[e["id"]], given(e["g"], (d,)))
-        assert np.array_equal(problem.forcing.spec_for(e["id"]).value,
+        assert np.array_equal(problem.forcing[e["id"]].value,
                               given(e["f"]["value"], (d,)))
     for b in doc["blocks"]:
         m = problem.B.blocks[b["to"], b["from"]]

@@ -18,20 +18,19 @@ from chronograph import (cli, matfun, oracle, problem_io, scenarios, solver,
                          variants)
 from chronograph import problem as problem_module
 from chronograph.graph import TimeGraph
-from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
-                                 SampledForcing, TimeGraphProblem,
-                                 TransmissionOperator, diagnose,
-                                 forcing_node_values, stack_edge_values)
+from chronograph.problem import (ConstantForcing, SampledForcing,
+                                 TimeGraphProblem, TransmissionOperator,
+                                 diagnose, forcing_node_values,
+                                 stack_edge_values)
 from conftest import dense_B, preset
 
 
 def ivp_problem(A, g0, f=None, length=1.0, steps=100):
     d = A.shape[0]
-    forcing = Forcing({0: ConstantForcing(np.asarray(f))}) if f is not None \
-        else Forcing.zero()
+    forcing = {0: ConstantForcing(np.asarray(f))} if f is not None else {}
     return TimeGraphProblem(
         graph=TimeGraph((0,), {0: length}, {0: d}),
-        operators=(EdgeOperator(0, A),),
+        operators={0: A},
         B=TransmissionOperator({}),
         g={0: np.asarray(g0)},
         forcing=forcing,
@@ -93,19 +92,19 @@ def test_step_count_invariance_for_piecewise_linear_forcing():
     coarse_nodes = np.linspace(0.0, 1.0, 26)[:, None]
     fine_nodes = np.linspace(0.0, 1.0, 101)[:, None]
     coarse = solver.solve(TimeGraphProblem(
-        TimeGraph((0,), {0: 1.0}, {0: 1}), (EdgeOperator(0, A),),
+        TimeGraph((0,), {0: 1.0}, {0: 1}), {0: A},
         TransmissionOperator({}), {0: np.array([1.0])},
-        Forcing({0: SampledForcing(0.5 + 2.0 * coarse_nodes)}), {0: 25}))
+        {0: SampledForcing(0.5 + 2.0 * coarse_nodes)}, {0: 25}))
     fine = solver.solve(TimeGraphProblem(
-        TimeGraph((0,), {0: 1.0}, {0: 1}), (EdgeOperator(0, A),),
+        TimeGraph((0,), {0: 1.0}, {0: 1}), {0: A},
         TransmissionOperator({}), {0: np.array([1.0])},
-        Forcing({0: SampledForcing(0.5 + 2.0 * fine_nodes)}), {0: 100}))
+        {0: SampledForcing(0.5 + 2.0 * fine_nodes)}, {0: 100}))
     assert np.max(np.abs(coarse.solutions[0].states
                          - fine.solutions[0].states[::4])) <= 1e-13
 
 
 def test_solve_rejects_invalid_problem():
-    p = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 1}), (),
+    p = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 1}), {},
                          TransmissionOperator({}))
     with pytest.raises(ValueError):
         solver.solve(p)
@@ -115,7 +114,7 @@ def test_singular_boundary_system_raises():
     # neutral flow looped back onto itself: I - B E = 0
     p = TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}),
-        (EdgeOperator(0, np.zeros((1, 1))),),
+        {0: np.zeros((1, 1))},
         TransmissionOperator({(0, 0): np.array([[1.0]])}),
         {0: np.array([1.0])})
     with pytest.raises(solver.NotWellPosed) as err:
@@ -126,7 +125,7 @@ def test_singular_boundary_system_raises():
 def test_near_singular_flagged_not_fatal():
     p = TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}),
-        (EdgeOperator(0, np.zeros((1, 1))),),
+        {0: np.zeros((1, 1))},
         TransmissionOperator({(0, 0): np.array([[1.0 - 1e-9]])}),
         {0: np.array([1.0])})
     rep = solver.solve(p)
@@ -146,7 +145,7 @@ def dense_monodromy(problem):
     matrices: the dense construction the block-wise assembly replaces."""
     gr = problem.graph
     E = scipy.linalg.block_diag(*[
-        scipy.linalg.expm(float(gr.lengths[e]) * problem.operator(e))
+        scipy.linalg.expm(float(gr.lengths[e]) * problem.operators[e])
         for e in gr.edges])
     return np.eye(gr.size()) - dense_B(gr, problem.B) @ E
 
@@ -157,9 +156,9 @@ def test_blockwise_monodromy_matches_the_dense_product(n, seed):
     edges = tuple(range(n))
     dims = {e: int(rng.integers(1, 4)) for e in edges}
     lengths = {e: float(rng.uniform(0.2, 2.0)) for e in edges}
-    ops = tuple(EdgeOperator(e, rng.standard_normal((dims[e], dims[e]))
-                             + 1j * rng.standard_normal((dims[e], dims[e])))
-                for e in edges)
+    ops = {e: rng.standard_normal((dims[e], dims[e]))
+           + 1j * rng.standard_normal((dims[e], dims[e]))
+           for e in edges}
     blocks = {(i, j): rng.standard_normal((dims[i], dims[j]))
               for i in edges for j in edges if rng.random() < 0.4}
     p = TimeGraphProblem(TimeGraph(edges, lengths, dims), ops,
@@ -196,7 +195,7 @@ def sequential_states(problem, edge, start):
     step at a time from fresh step operators."""
     K = problem.steps_for(edge)
     h = float(problem.graph.lengths[edge]) / K
-    Eh, P1, P2 = matfun.expm_phi12(h * problem.operator(edge))
+    Eh, P1, P2 = matfun.expm_phi12(h * problem.operators[edge])
     f = forcing_node_values(problem, edge, problem.times(edge))
     states = np.empty((K + 1, len(start)), dtype=complex)
     states[0] = start
@@ -218,9 +217,9 @@ def test_scan_matches_sequential_recurrence(d, K, growth, seed):
     A += (growth - np.max(np.linalg.eigvals(A).real)) * np.eye(d)
     samples = rng.standard_normal((K + 1, d))
     p = TimeGraphProblem(
-        TimeGraph((0,), {0: 1.0}, {0: d}), (EdgeOperator(0, A),),
+        TimeGraph((0,), {0: 1.0}, {0: d}), {0: A},
         TransmissionOperator({}), {0: rng.standard_normal(d)},
-        Forcing({0: SampledForcing(samples)}), {0: K})
+        {0: SampledForcing(samples)}, {0: K})
     got = solver.solve(p).solutions[0].states
     want = sequential_states(p, 0, got[0])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -263,7 +262,7 @@ def test_overflowing_step_operator_names_the_edge():
     # just as the propagator does; the solve reports the propagator first
     p = TimeGraphProblem(
         TimeGraph(("a",), {"a": 10.0}, {"a": 1}),
-        (EdgeOperator("a", [[80.0]]),),
+        {"a": [[80.0]]},
         TransmissionOperator({}), {"a": np.array([1.0])}, steps={"a": 1})
     with pytest.raises(ValueError, match=r"^edge 'a' \(length 10\.0\): "
                        r"a step operator for h = 10\.0 is not finite$"):
@@ -273,7 +272,7 @@ def test_overflowing_step_operator_names_the_edge():
 def test_overflowing_step_exponent_names_the_edge():
     p = TimeGraphProblem(
         TimeGraph(("a",), {"a": 1e10}, {"a": 1}),
-        (EdgeOperator("a", [[-1e300]]),),
+        {"a": [[-1e300]]},
         TransmissionOperator({}), {"a": np.array([1.0])}, steps={"a": 1})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -295,8 +294,7 @@ def test_every_dim_group_exponent_is_checked_before_any_exponential():
     the first group's exponential is taken."""
     p = TimeGraphProblem(
         TimeGraph(("a", "b"), {"a": 10.0, "b": 1e10}, {"a": 1, "b": 2}),
-        (EdgeOperator("a", [[80.0]]),
-         EdgeOperator("b", [[-1e300, 0.0], [0.0, -1.0]])),
+        {"a": [[80.0]], "b": [[-1e300, 0.0], [0.0, -1.0]]},
         TransmissionOperator({}), {"a": np.array([1.0])},
         steps={"a": 1, "b": 1})
     with warnings.catch_warnings():
@@ -349,7 +347,7 @@ def test_solution_grades():
     assert solver.solution_grade(p) == solver.CLASSICAL
     bad = TimeGraphProblem(
         p.graph, p.operators, p.B, dict(p.g),
-        Forcing({0: SampledForcing(np.full((101, 1), np.nan))}), dict(p.steps))
+        {0: SampledForcing(np.full((101, 1), np.nan))}, dict(p.steps))
     assert solver.solution_grade(bad) == solver.STRONG
     assert solver.solution_grade(bad, None) == solver.STRONG
 
@@ -366,7 +364,7 @@ def test_commutator_norm_matches_dense_commutator_on_presets():
     for sid in scenarios.SCENARIO_IDS:
         p = preset(sid)
         gr = p.graph
-        AV = scipy.linalg.block_diag(*[p.operator(e) for e in gr.edges])
+        AV = scipy.linalg.block_diag(*[p.operators[e] for e in gr.edges])
         B = dense_B(gr, p.B)
         dense = np.linalg.norm(AV @ B - B @ AV, 2)
         assert abs(commutator_norm(p) - dense) <= 1e-13 * max(dense, 1.0), sid
@@ -681,11 +679,11 @@ def boundary_problem(size, ring, extra, delta, seed):
         for _ in range(extra):
             i, j = (int(x) for x in rng.integers(0, len(edges), 2))
             blocks[i, j] = 0.3 * rng.standard_normal((d[i], d[j])) / d[j]
-    forcing = Forcing({e: ConstantForcing(rng.standard_normal(d[e]))
-                       for e in edges if rng.random() < 0.5})
+    forcing = {e: ConstantForcing(rng.standard_normal(d[e]))
+               for e in edges if rng.random() < 0.5}
     return TimeGraphProblem(
         TimeGraph(edges, lengths, d),
-        tuple(EdgeOperator(e, ops[e]) for e in edges),
+        {e: ops[e] for e in edges},
         TransmissionOperator(blocks), {0: rng.standard_normal(d[0])},
         forcing, {e: 4 for e in edges})
 

@@ -10,9 +10,9 @@ from hypothesis import assume, given, strategies as st
 
 from chronograph import cli, matfun, problem_io, scenarios, solver, variants
 from chronograph.graph import TimeGraph
-from chronograph.problem import (ConstantForcing, EdgeOperator, Forcing,
-                                 TimeGraphProblem, TransmissionOperator,
-                                 forcing_node_values, stack_edge_values)
+from chronograph.problem import (ConstantForcing, TimeGraphProblem,
+                                 TransmissionOperator, forcing_node_values,
+                                 stack_edge_values)
 from chronograph.matfun import NotHermitian
 from conftest import dense_B, preset
 
@@ -27,7 +27,7 @@ def oscillatory_ivp(H, g0, length=1.0, steps=200):
     d = H.shape[0]
     return TimeGraphProblem(
         graph=TimeGraph((0,), {0: length}, {0: d}),
-        operators=(EdgeOperator(0, H),),
+        operators={0: H},
         B=TransmissionOperator({}),
         g={0: np.asarray(g0, dtype=complex)},
         steps={0: steps},
@@ -59,7 +59,7 @@ def test_oscillatory_flow_matches_phase_factor(rng):
 def test_oscillatory_rejects_asymmetric_operator():
     base = TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 2}),
-        operators=(EdgeOperator(0, np.array([[0.0, 1.0], [0.0, 0.0]])),),
+        operators={0: np.array([[0.0, 1.0], [0.0, 0.0]])},
         B=TransmissionOperator({}),
         g={0: np.zeros(2)},
     )
@@ -101,13 +101,13 @@ def test_schrodinger_generators_are_exactly_skew_hermitian(tmp_path):
                                           + 1j * r.standard_normal((5, 5)))
     assert 0.0 < np.linalg.norm(A - A.conj().T, 2) <= 1e-12
     nearly = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 5}),
-                              (EdgeOperator(0, A),), TransmissionOperator({}))
+                              {0: A}, TransmissionOperator({}))
     for base in (problem, nearly):
         effective = variants.schrodinger_effective(base)
         for e in base.graph.edges:
-            G = effective.operator(e)
+            G = effective.operators[e]
             assert np.array_equal(G + G.conj().T, np.zeros_like(G))
-            A_e = base.operator(e)
+            A_e = base.operators[e]
             assert np.array_equal(G, 1j * (0.5 * (A_e + A_e.conj().T)))
 
     path = tmp_path / "problem.json"
@@ -132,7 +132,7 @@ def test_unitarity_holds_for_matched_cosine_coupling():
     B = (V * (2.0 * np.cos(a * w))) @ V.conj().T
     base = TimeGraphProblem(
         graph=TimeGraph((0,), {0: a}, {0: 3}),
-        operators=(EdgeOperator(0, H),),
+        operators={0: H},
         B=TransmissionOperator({(0, 0): B}),
         g={0: np.ones(3)},
     )
@@ -146,7 +146,7 @@ def test_unitarity_holds_for_matched_cosine_coupling():
 def test_unitarity_counterexample_quarter_period():
     base = TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
-        operators=(EdgeOperator(0, np.array([[math.pi / 2.0]])),),
+        operators={0: np.array([[math.pi / 2.0]])},
         B=TransmissionOperator({(0, 0): np.array([[1.0]])}),
         g={0: np.ones(1)},
     )
@@ -162,7 +162,7 @@ def test_unitarity_gate_rejects_non_commuting_coupling():
     B = np.array([[0.0, 1.0], [1.0, 0.0]])  # swaps the eigenbasis
     base = TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 2}),
-        operators=(EdgeOperator(0, H),),
+        operators={0: H},
         B=TransmissionOperator({(0, 0): B}),
         g={0: np.zeros(2)},
     )
@@ -187,7 +187,7 @@ def dense_unitarity_check(p):
     and inverted I - B E_phase itself; kept as the reference for the version
     that reads the solve's operators."""
     gr = p.graph
-    eigs = {e: matfun.hermitian_eig(p.operator(e)) for e in gr.edges}
+    eigs = {e: matfun.hermitian_eig(p.operators[e]) for e in gr.edges}
     aH_cos = _blockdiag(gr, {
         e: matfun.funm_hermitian(eigs[e],
                                  lambda x, a=gr.lengths[e]: math.cos(a * x))
@@ -257,7 +257,7 @@ def shared_hamiltonian_problem(d, n, kind, seed):
                                           + 1j * rng.standard_normal((d, d)))
     return TimeGraphProblem(
         graph=TimeGraph(edges, lengths, {e: d for e in edges}),
-        operators=tuple(EdgeOperator(e, H) for e in edges),
+        operators={e: H for e in edges},
         B=TransmissionOperator(blocks),
         g={0: np.ones(d)},
     )
@@ -306,7 +306,7 @@ def test_unitarity_defect_of_a_300_edge_chain_is_normed_by_lanczos(
     edges = tuple(range(n))
     gr = TimeGraph(edges, {e: 1.0 for e in edges}, {e: 1 for e in edges})
     base = TimeGraphProblem(
-        gr, tuple(EdgeOperator(e, [[-0.7]]) for e in edges),
+        gr, {e: [[-0.7]] for e in edges},
         TransmissionOperator({(k, k - 1): [[rng.uniform(0.5, 1.0)]]
                               for k in edges[1:]}),
         {0: np.ones(1)})
@@ -366,7 +366,7 @@ def test_cli_unconverged_unitarity_norm_exits_one_naming_lanczos(
 def oscillator_problem(omega, x0, v0, steps=2000):
     return variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
-        operators=(EdgeOperator(0, np.array([[-omega ** 2]])),),
+        operators={0: np.array([[-omega ** 2]])},
         B1=TransmissionOperator({}),
         B2=TransmissionOperator({}),
         g1={0: np.array([x0], dtype=complex)},
@@ -391,7 +391,7 @@ def test_second_order_diagonal_system():
     A = np.diag(-omegas ** 2)
     p = variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 2}),
-        operators=(EdgeOperator(0, A),),
+        operators={0: A},
         B1=TransmissionOperator({}),
         B2=TransmissionOperator({}),
         g1={0: np.array([1.0, -1.0], dtype=complex)},
@@ -408,7 +408,7 @@ def test_second_order_diagonal_system():
 def test_second_order_rejects_singular_operator():
     p = variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
-        operators=(EdgeOperator(0, np.zeros((1, 1))),),
+        operators={0: np.zeros((1, 1))},
         B1=TransmissionOperator({}), B2=TransmissionOperator({}),
         g1={0: np.zeros(1)}, g2={0: np.zeros(1)},
     )
@@ -422,7 +422,7 @@ def test_second_order_singular_stage_reports_which():
     omega = 2.0 * math.pi
     p = variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
-        operators=(EdgeOperator(0, np.array([[-omega ** 2]])),),
+        operators={0: np.array([[-omega ** 2]])},
         B1=TransmissionOperator({}),
         B2=TransmissionOperator({(0, 0): np.array([[1.0]])}),
         g1={0: np.zeros(1)}, g2={0: np.zeros(1)},
@@ -437,11 +437,11 @@ def positive_problem():
     A = np.array([[-2.0, 0.5], [1.0, -3.0]])  # Metzler
     return TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 2}),
-        operators=(EdgeOperator(0, A),),
+        operators={0: A},
         B=TransmissionOperator({(0, 0): np.array([[0.4, 0.1],
                                                   [0.0, 0.3]])}),
         g={0: np.array([1.0, 0.5])},
-        forcing=Forcing({0: ConstantForcing(np.array([1.0, 0.2]))}),
+        forcing={0: ConstantForcing(np.array([1.0, 0.2]))},
     )
 
 
@@ -478,7 +478,7 @@ def test_mapping_properties_flag_negative_coupling():
 def test_mapping_properties_flag_non_metzler_operator():
     p = positive_problem()
     q = TimeGraphProblem(
-        p.graph, (EdgeOperator(0, np.array([[-2.0, -0.5], [1.0, -3.0]])),),
+        p.graph, {0: np.array([[-2.0, -0.5], [1.0, -3.0]])},
         p.B, dict(p.g), p.forcing, p.steps)
     rep = variants.verify_mapping_properties(solver.solve(q), q)
     assert "A_metzler" in rep.failed_hypotheses
@@ -556,7 +556,7 @@ def dense_verify_mapping_properties(report, problem):
             np.min(B.real, initial=0.0) < -tol:
         failed.append("B_entrywise_nonnegative")
         operators_ok = False
-    if not all(variants._metzler(problem.operator(e)) for e in gr.edges):
+    if not all(variants._metzler(problem.operators[e]) for e in gr.edges):
         failed.append("A_metzler")
         operators_ok = False
     mono = solver.assemble_monodromy(problem)

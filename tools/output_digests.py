@@ -16,9 +16,22 @@ large_graph document (the 600-edge chain and ring), and writes
 
 for each output file a request writes, and .../exit+stdout for its exit code
 and captured stdout. Targets and stdout name paths relative to the
-temporary root, so two checkouts give comparable maps. chronograph and the
-perfbench modules are imported from the checkout (default: the one this
-script lives in); nothing under perfbench/ is written to.
+temporary root, so two checkouts give comparable maps.
+
+It also digests the library paths that no CLI verb runs, on each preset p
+as scenarios.build_scenario and problem_io.load_problem_dict give it:
+
+    library/<preset>/diagnose                   diagnose(p, solve(p).monodromy)
+    library/<preset>/verify_mapping_properties  of solve(p) and p
+    library/<preset>/resolvent_Dt               states of resolvent_Dt(p, 0.5)
+    library/<preset>/second_order_solve         states of both stages
+
+each the fields or states of the result, or the exception's type and
+message. The second-order problem takes p's own operators, B, g, forcing
+and steps for both factors, so the keys are built from those two loaders
+alone. chronograph and the perfbench modules are imported from the
+checkout (default: the one this script lives in); nothing under perfbench/
+is written to.
 
 diff prints every key whose digest differs or that only one map has, and
 exits 1 when there is one, else 0.
@@ -26,6 +39,7 @@ exits 1 when there is one, else 0.
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -51,6 +65,50 @@ OUTPUT_FILES = {
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def _states(report):
+    """The edge ids and state bytes of a solve report, in its edge order."""
+    return b"".join(repr(e).encode() + sol.states.tobytes()
+                    for e, sol in report.solutions.items())
+
+
+def _outcome(thunk):
+    """sha256 of thunk()'s bytes, or of the type and message of the
+    exception it raises."""
+    try:
+        data = thunk()
+    except Exception as exc:  # noqa: BLE001  (the outcome is the digest)
+        data = repr((type(exc).__name__, str(exc))).encode()
+    return _sha(data)
+
+
+def library_digests():
+    """{library/<preset>/<path>: sha256} over the presets."""
+    from chronograph import problem_io, scenarios, solver, variants
+    from chronograph.problem import diagnose
+
+    def fields(report):
+        return repr(dataclasses.astuple(report)).encode()
+
+    out = {}
+    for preset in scenarios.SCENARIO_IDS:
+        p, _, _ = problem_io.load_problem_dict(
+            scenarios.build_scenario(preset, {}))
+        second = variants.SecondOrderProblem(
+            p.graph, p.operators, p.B, p.B, dict(p.g), dict(p.g), p.forcing,
+            dict(p.steps))
+        paths = {
+            "diagnose": lambda: fields(diagnose(p, solver.solve(p).monodromy)),
+            "verify_mapping_properties": lambda: fields(
+                variants.verify_mapping_properties(solver.solve(p), p)),
+            "resolvent_Dt": lambda: _states(solver.resolvent_Dt(p, 0.5)),
+            "second_order_solve": lambda: b"".join(
+                map(_states, variants.second_order_solve(second))),
+        }
+        for name, thunk in paths.items():
+            out[f"library/{preset}/{name}"] = _outcome(thunk)
+    return out
 
 
 def digests(checkout):
@@ -96,6 +154,7 @@ def digests(checkout):
                     path = os.path.join(out_dir, name)
                     with open(path, "rb") as fh:
                         out[f"{key}/{name}"] = _sha(fh.read())
+    out.update(library_digests())
     return out
 
 
