@@ -5,8 +5,7 @@ from .graph import (CAUCHY_SEQUENCE, GLOBAL_ONLY, IVP_SEQUENCE, BlockPattern,
                     SolvabilityReport, TimeGraph, classify_solvability,
                     pattern_of)
 from .problem import (ConstantForcing, HypothesisReport, SampledForcing,
-                      TimeGraphProblem, TransmissionOperator, ZeroForcing,
-                      diagnose, validate)
+                      TimeGraphProblem, ZeroForcing, diagnose, validate)
 from .solver import (EdgeSolution, Monodromy, NotWellPosed, SolveReport,
                      assemble_monodromy, propagate, resolvent_Dt, solve,
                      solution_grade, solve_boundary)
@@ -22,11 +21,10 @@ __all__ = [
     "GLOBAL_ONLY", "HypothesesNotMet", "HypothesisReport", "IVP_SEQUENCE",
     "MappingReport", "Monodromy", "NonCommuting", "NotWellPosed",
     "SampledForcing", "SecondOrderProblem", "SolvabilityReport",
-    "SolveReport", "TimeGraph", "TimeGraphProblem", "TransmissionOperator",
-    "UnitarityReport", "ZeroForcing", "assemble_monodromy",
-    "classify_solvability", "diagnose", "pattern_of", "propagate",
-    "resolvent_Dt", "run_compare", "run_scenario", "run_solve",
-    "schrodinger_effective", "second_order_solve", "solution_grade", "solve",
-    "solve_boundary", "unitarity_check", "validate",
-    "verify_mapping_properties",
+    "SolveReport", "TimeGraph", "TimeGraphProblem", "UnitarityReport",
+    "ZeroForcing", "assemble_monodromy", "classify_solvability", "diagnose",
+    "pattern_of", "propagate", "resolvent_Dt", "run_compare", "run_scenario",
+    "run_solve", "schrodinger_effective", "second_order_solve",
+    "solution_grade", "solve", "solve_boundary", "unitarity_check",
+    "validate", "verify_mapping_properties",
 ]

@@ -151,7 +151,7 @@ def pattern_of(B, graph):
     """
     pos = {e: k for k, e in enumerate(graph.edges)}
     nonzero = set()
-    for (i, j), block in B.blocks.items():
+    for (i, j), block in B.items():
         if block.any():
             nonzero.add((pos[i], pos[j]))
     return BlockPattern(len(graph.edges), frozenset(nonzero))

@@ -9,12 +9,15 @@ with exhaustive enumeration.  They ship in the library so acceptance runs
 are reproducible from the command line.
 """
 
+import warnings
+
 import numpy as np
 import scipy.linalg as la
 from numpy import matvec
 
 from . import matfun, solver
-from .problem import forcing_node_values, stack_edge_values, validate
+from .problem import (block_product, forcing_node_values, stack_edge_values,
+                      validate)
 from .solver import EdgeSolution, NotWellPosed
 
 
@@ -56,7 +59,8 @@ def cn_solve(problem, steps_per_edge):
     x[k+1] = P x[k] + r[k], one stacked mat-vec per step: from zero for F~,
     then from the c solving (I - B E~) c = g + B F~, with E~ = P^N and
     I - B E~ built block by block.  Second order accurate in the step
-    size.  A numerically singular I - B E~ raises NotWellPosed.
+    size.  A singular or non-finite step map raises ValueError naming its
+    edge, and a numerically singular I - B E~ raises NotWellPosed.
     """
     violations = validate(problem)
     if violations:
@@ -71,9 +75,20 @@ def cn_solve(problem, steps_per_edge):
     for edges, A in problem.operator_groups:
         h = np.array([float(gr.lengths[e]) for e in edges])[:, None, None] / N
         I = np.eye(A.shape[-1], dtype=complex)
-        lu = la.lu_factor(I - 0.5 * h * A)
-        P = la.lu_solve(lu, I + 0.5 * h * A)
-        W = la.lu_solve(lu, 0.5 * h * I)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            # a singular I - hA/2 leaves P non-finite, refused below
+            warnings.simplefilter("ignore", la.LinAlgWarning)
+            lu = la.lu_factor(I - 0.5 * h * A)
+            P = la.lu_solve(lu, I + 0.5 * h * A)
+            W = la.lu_solve(lu, 0.5 * h * I)
+            PN = np.linalg.matrix_power(P, N)
+        finite = np.isfinite(np.concatenate([P, W, PN], axis=-1))
+        if not finite.all():
+            e = edges[np.flatnonzero(~finite.all(axis=(1, 2)))[0]]
+            raise ValueError(
+                f"edge {e!r} of length {float(gr.lengths[e])!r}: the "
+                f"Crank-Nicolson step map is singular or not finite at {N} "
+                f"steps per edge; choose another cn_steps (--cn-steps)")
         times = [np.linspace(0.0, float(gr.lengths[e]), N + 1) for e in edges]
         x = np.empty((len(edges), N + 1, A.shape[-1]), dtype=complex)
         for i, e in enumerate(edges):
@@ -83,12 +98,12 @@ def cn_solve(problem, steps_per_edge):
         u = np.zeros_like(x[:, 0])
         for r in x.swapaxes(0, 1)[1:]:
             u = matvec(P, u) + r
-        terminal.update(zip(edges, np.linalg.matrix_power(P, N)))
+        terminal.update(zip(edges, PN))
         F_parts.update(zip(edges, u))
         groups.append((edges, times, P, x))
 
     M = np.eye(gr.size(), dtype=complex)
-    for (i, j), m in problem.B.blocks.items():
+    for (i, j), m in problem.B.items():
         M[off[i]:off[i] + gr.dims[i], off[j]:off[j] + gr.dims[j]] -= \
             m @ terminal[j]
     rcond = matfun.rcond_identity_scale(M)
@@ -96,7 +111,7 @@ def cn_solve(problem, steps_per_edge):
         raise NotWellPosed(rcond)
     g = stack_edge_values(gr, problem.g)
     F_tilde = stack_edge_values(gr, F_parts)
-    c = np.linalg.solve(M, g + problem.B.apply(gr, F_tilde))
+    c = np.linalg.solve(M, g + block_product(gr, problem.B, F_tilde))
 
     solutions = {}
     for edges, times, P, x in groups:
@@ -127,7 +142,7 @@ def picard_boundary(problem, report):
         raise PicardDivergence(rho)
     gr = problem.graph
     g = stack_edge_values(gr, problem.g)
-    base = problem.B.apply(gr, F) + g
+    base = block_product(gr, problem.B, F) + g
     c = np.zeros(gr.size(), dtype=complex)
     for _ in range(PICARD_MAX_ITER):
         nxt = BE @ c + base

@@ -20,31 +20,6 @@ from .graph import TimeGraph
 DEFAULT_STEPS = 100
 
 
-@dataclass(frozen=True)
-class TransmissionOperator:
-    """Block matrix coupling terminal to initial edge values; absent blocks are zero.
-
-    blocks: (receiving edge id, sending edge id) -> dims[i] x dims[j] matrix.
-    """
-
-    blocks: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", {
-            (i, j): np.asarray(m, dtype=complex)
-            for (i, j), m in self.blocks.items()})
-
-    def apply(self, graph, x):
-        """B x over the stacked boundary space, one block at a time; no
-        n x n matrix is formed."""
-        off = graph.offsets()
-        out = np.zeros(graph.size(), dtype=complex)
-        for (i, j), m in self.blocks.items():
-            out[off[i]:off[i] + graph.dims[i]] += \
-                m @ x[off[j]:off[j] + graph.dims[j]]
-        return out
-
-
 def _local_offsets(graph, edges, pos):
     """Offsets of the edges' blocks stacked in graph order, and their total
     size."""
@@ -109,6 +84,18 @@ def block_norm(graph, *block_sets):
     return tuple(max(found, default=0.0) for found in norms)
 
 
+def block_product(graph, blocks, x):
+    """B x over the stacked boundary space for B given as blocks ((receiving
+    edge, sending edge) -> matrix), one block at a time in dict order; no
+    n x n matrix is formed."""
+    off = graph.offsets()
+    out = np.zeros(graph.size(), dtype=complex)
+    for (i, j), m in blocks.items():
+        out[off[i]:off[i] + graph.dims[i]] += \
+            m @ x[off[j]:off[j] + graph.dims[j]]
+    return out
+
+
 @dataclass(frozen=True)
 class ZeroForcing:
     pass
@@ -141,15 +128,18 @@ class TimeGraphProblem:
     """Per-edge data in dicts keyed by edge id, coupled only through B.
 
     operators holds each edge's square A_j of d/dt psi = A_j psi + f_j and
-    g its transmission inhomogeneity, both converted to complex; forcing
-    holds its ZeroForcing, ConstantForcing or SampledForcing, and steps its
-    step count.  An edge absent from g, forcing or steps gets zero, zero or
+    g its transmission inhomogeneity; B maps (receiving edge id, sending
+    edge id) to the dims[i] x dims[j] block B_ij of the transmission
+    condition psi_-(i) = sum_j B_ij psi_+(j) + g_i, and an absent block is
+    zero.  All three are converted to complex.  forcing holds each edge's
+    ZeroForcing, ConstantForcing or SampledForcing, and steps its step
+    count.  An edge absent from g, forcing or steps gets zero, zero or
     DEFAULT_STEPS.
     """
 
     graph: TimeGraph
     operators: dict
-    B: TransmissionOperator
+    B: dict
     g: dict = field(default_factory=dict)
     forcing: dict = field(default_factory=dict)
     steps: dict = field(default_factory=dict)
@@ -158,6 +148,9 @@ class TimeGraphProblem:
         object.__setattr__(self, "operators", {
             e: np.asarray(A, dtype=complex)
             for e, A in self.operators.items()})
+        object.__setattr__(self, "B", {
+            (i, j): np.asarray(m, dtype=complex)
+            for (i, j), m in self.B.items()})
         object.__setattr__(self, "g", {
             e: np.asarray(v, dtype=complex).reshape(-1)
             for e, v in self.g.items()})
@@ -214,34 +207,38 @@ def validate(problem):
     v = []
     gr = problem.graph
     edges = set(gr.edges)
+    if not edges:
+        v.append("graph.edges: must not be empty")
     if len(edges) != len(gr.edges):
         v.append("graph.edges: duplicate edge ids")
+    sized = set()  # the edges whose dim the shape checks below can read
     for e in gr.edges:
         if e not in gr.lengths or not float(gr.lengths[e]) > 0:
             v.append(f"graph.lengths[{e!r}]: must be strictly positive")
         if e not in gr.dims or int(gr.dims[e]) < 1:
             v.append(f"graph.dims[{e!r}]: must be >= 1")
+        else:
+            sized.add(e)
     for e, A in problem.operators.items():
         if e not in edges:
             v.append(f"operators[{e!r}]: unknown edge")
-            continue
-        d = gr.dims[e]
-        if A.shape != (d, d):
+        elif e in sized and A.shape != (gr.dims[e], gr.dims[e]):
+            d = gr.dims[e]
             v.append(f"operators[{e!r}].A: shape {A.shape} != ({d}, {d})")
     for e in gr.edges:
         if e not in problem.operators:
             v.append(f"operators[{e!r}]: missing")
-    for (i, j), m in problem.B.blocks.items():
+    for (i, j), m in problem.B.items():
         if i not in edges or j not in edges:
             v.append(f"B[{i!r},{j!r}]: unknown edge pair")
-            continue
-        want = (gr.dims[i], gr.dims[j])
-        if m.shape != want:
+        elif i in sized and j in sized and \
+                m.shape != (gr.dims[i], gr.dims[j]):
+            want = (gr.dims[i], gr.dims[j])
             v.append(f"B[{i!r},{j!r}]: shape {m.shape} != {want}")
     for e, vec in problem.g.items():
         if e not in edges:
             v.append(f"g[{e!r}]: unknown edge")
-        elif vec.shape != (gr.dims[e],):
+        elif e in sized and vec.shape != (gr.dims[e],):
             v.append(f"g[{e!r}]: length {vec.shape[0]} != {gr.dims[e]}")
     for e, k in problem.steps.items():
         if e not in edges:
@@ -251,6 +248,8 @@ def validate(problem):
     for e, spec in problem.forcing.items():
         if e not in edges:
             v.append(f"forcing[{e!r}]: unknown edge")
+            continue
+        if e not in sized:
             continue
         d = gr.dims[e]
         if isinstance(spec, ConstantForcing) and spec.value.shape != (d,):
@@ -306,7 +305,7 @@ def diagnose(problem, mono):
         mu.update(zip(edges, numerical_abscissa(A).tolist()))
     mu = {e: mu[e] for e in gr.edges}
     # the commutator's (i, j) block is A_i B_ij - B_ij A_j: B's pattern
-    A, blocks = problem.operators, problem.B.blocks
+    A, blocks = problem.operators, problem.B
     B_norm, comm = block_norm(gr, blocks, {
         (i, j): A[i] @ m - m @ A[j] for (i, j), m in blocks.items()})
     worst = max(mu.values())

@@ -28,8 +28,7 @@ import numpy as np
 
 from .graph import TimeGraph
 from .problem import (DEFAULT_STEPS, ConstantForcing, SampledForcing,
-                      TimeGraphProblem, TransmissionOperator, ZeroForcing,
-                      validate)
+                      TimeGraphProblem, ZeroForcing, validate)
 
 
 class ProblemFileError(Exception):
@@ -442,7 +441,7 @@ def load_problem_dict(doc):
     problem = TimeGraphProblem(
         graph=TimeGraph(tuple(edges), lengths, dims),
         operators=operators,
-        B=TransmissionOperator(blocks),
+        B=blocks,
         g=g,
         forcing=forcing,
         steps=steps,
@@ -490,7 +489,7 @@ def problem_to_dict(problem, mode, options):
         edges.append(entry)
     pos = {e: k for k, e in enumerate(gr.edges)}
     blocks = [{"from": j, "to": i, "matrix": _real_lists(m)}
-              for (i, j), m in sorted(problem.B.blocks.items(),
+              for (i, j), m in sorted(problem.B.items(),
                                       key=lambda kv: (pos[kv[0][0]],
                                                       pos[kv[0][1]]))]
     doc = {"edges": edges, "blocks": blocks, "mode": mode}

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import matfun
 from .problem import (ConstantForcing, SampledForcing, ZeroForcing,
-                      stack_edge_values, validate)
+                      block_product, stack_edge_values, validate)
 
 MILD = "MILD"
 STRONG = "STRONG"
@@ -249,7 +249,7 @@ def assemble_monodromy(problem):
             "the propagator e^(length A)", phi=False):
         propagators.update(zip(edges, blocks))
     slots = {(e, e): np.eye(gr.dims[e]) for e in gr.edges}
-    for (i, j), m in problem.B.blocks.items():
+    for (i, j), m in problem.B.items():
         with np.errstate(over="ignore", invalid="ignore"):
             BE = m @ propagators[j]
         if not np.all(np.isfinite(BE)):
@@ -387,7 +387,7 @@ def solve_boundary(problem, mono, F):
     """
     gr = problem.graph
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = stack_edge_values(gr, problem.g) + problem.B.apply(gr, F)
+        rhs = stack_edge_values(gr, problem.g) + block_product(gr, problem.B, F)
     _require_finite_boundary(problem, rhs,
                              "the boundary right-hand side g + B F")
     if not mono.rcond >= SINGULAR_RCOND:
@@ -475,7 +475,7 @@ def _boundary_residual(problem, states):
     plus = np.concatenate([X[:, -1].reshape(-1) for X in states])
     g = stack_edge_values(gr, problem.g)
     residual = _finite(problem, None, "the boundary residual", np.linalg.norm(
-        minus - problem.B.apply(gr, plus) - g))
+        minus - block_product(gr, problem.B, plus) - g))
     g_norm = _finite(problem, None, "||g|| in the boundary residual",
                      np.linalg.norm(g))
     return float(residual / (1.0 + g_norm))
@@ -517,6 +517,7 @@ def solve(problem):
     """Full pipeline: monodromy, forced integrals, boundary solve, propagation.
     A refused allocation, or states too many for numpy to index or size,
     raises ValueError naming the largest edge."""
+    _require_valid(problem)
     gr = problem.graph
     size = {e: (problem.steps_for(e) + 1) * gr.dims[e] for e in gr.edges}
     e = max(gr.edges, key=size.__getitem__)

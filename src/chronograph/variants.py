@@ -35,13 +35,14 @@ class SecondOrderProblem:
     """d^2/dt^2 psi = A psi + f with Hermitian invertible A_j and two
     transmission conditions, one per factor of the factorization.
 
-    operators, g1, g2, forcing and steps are dicts keyed by edge id, as in
-    TimeGraphProblem; an edge without forcing has zero forcing."""
+    operators, g1, g2, forcing and steps are dicts keyed by edge id, and B1
+    and B2 dicts of blocks keyed by (receiving edge id, sending edge id), as
+    in TimeGraphProblem; an edge without forcing has zero forcing."""
 
     graph: object
     operators: dict
-    B1: object
-    B2: object
+    B1: dict
+    B2: dict
     g1: dict = field(default_factory=dict)
     g2: dict = field(default_factory=dict)
     forcing: dict = field(default_factory=dict)
@@ -96,7 +97,7 @@ def unitarity_check(report, problem):
     ||S S* - I|| of S(t) = e^{i t a H} M^{-1} is ||M^{-1} M^{-*} - I|| at
     every t, because the phase is unitary.  Every norm is block-sparse.
     """
-    gr, mono, blocks = problem.graph, report.monodromy, problem.B.blocks
+    gr, mono, blocks = problem.graph, report.monodromy, problem.B
     E = mono.propagators
     comm, B_norm = block_norm(gr, {(i, j): m @ E[j] - E[i] @ m
                                    for (i, j), m in blocks.items()}, blocks)
@@ -169,7 +170,7 @@ def _is_real_problem(problem, chunks):
     if any(np.max(np.abs(problem.operators[e].imag)) > 0.0
            for e in problem.graph.edges):
         return False
-    if any(np.max(np.abs(m.imag)) > 0.0 for m in problem.B.blocks.values()):
+    if any(np.max(np.abs(m.imag)) > 0.0 for m in problem.B.values()):
         return False
     if any(np.max(np.abs(v.imag)) > 0.0 for v in problem.g.values()):
         return False
@@ -220,7 +221,7 @@ def verify_mapping_properties(report, problem, strict=False):
 
     operators_ok = True
     if any(np.any(m.imag != 0.0) or np.min(m.real) < -_ENTRYWISE_TOL
-           for m in problem.B.blocks.values()):
+           for m in problem.B.values()):
         failed.append("B_entrywise_nonnegative")
         operators_ok = False
     if not all(_metzler(problem.operators[e]) for e in gr.edges):
@@ -255,7 +256,7 @@ def verify_mapping_properties(report, problem, strict=False):
     # ||B||_inf: the largest absolute row sum, the rows of each receiving
     # edge summed over the blocks that feed it
     row_sums = {}
-    for (i, _), m in problem.B.blocks.items():
+    for (i, _), m in problem.B.items():
         row_sums[i] = row_sums.get(i, 0.0) + np.sum(np.abs(m), axis=1)
     B_inf = max((float(np.max(r)) for r in row_sums.values()), default=0.0)
     g_inf = float(np.max(np.abs(stack_edge_values(gr, problem.g)),

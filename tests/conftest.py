@@ -22,7 +22,7 @@ def dense_B(graph, B):
     order: the reference that the package's block-by-block code replaces."""
     off = graph.offsets()
     out = np.zeros((graph.size(), graph.size()), dtype=complex)
-    for (i, j), m in B.blocks.items():
+    for (i, j), m in B.items():
         out[off[i]:off[i] + graph.dims[i], off[j]:off[j] + graph.dims[j]] = m
     return out
 

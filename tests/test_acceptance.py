@@ -16,8 +16,7 @@ from chronograph import oracle, scenarios, solver, variants
 from chronograph.graph import (CAUCHY_SEQUENCE, GLOBAL_ONLY, IVP_SEQUENCE,
                                BlockPattern, TimeGraph, classify_solvability,
                                pattern_of)
-from chronograph.problem import (ConstantForcing, TimeGraphProblem,
-                                 TransmissionOperator)
+from chronograph.problem import ConstantForcing, TimeGraphProblem
 from conftest import preset
 
 
@@ -152,7 +151,7 @@ def test_energy_identity_quadrature_order():
             p = TimeGraphProblem(
                 graph=TimeGraph((0,), {0: 1.0}, {0: d}),
                 operators={0: A},
-                B=TransmissionOperator({(0, 0): B}),
+                B={(0, 0): B},
                 g={0: g},
                 forcing={0: ConstantForcing(f)},
                 steps={0: steps},
@@ -187,7 +186,7 @@ def test_oscillatory_unitarity_classification():
         base = TimeGraphProblem(
             graph=TimeGraph((0,), {0: a}, {0: d}),
             operators={0: H},
-            B=TransmissionOperator({(0, 0): B}),
+            B={(0, 0): B},
             g={0: r.standard_normal(d)},
         )
         rep = unitarity(base)
@@ -198,7 +197,7 @@ def test_oscillatory_unitarity_classification():
     counter = TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
         operators={0: np.array([[math.pi / 2.0]])},
-        B=TransmissionOperator({(0, 0): np.array([[1.0]])}),
+        B={(0, 0): np.array([[1.0]])},
         g={0: np.ones(1)},
     )
     rep = unitarity(counter)
@@ -225,7 +224,7 @@ def test_positivity_preservation():
         p = TimeGraphProblem(
             graph=TimeGraph((0,), {0: a}, {0: d}),
             operators={0: A},
-            B=TransmissionOperator({(0, 0): B}),
+            B={(0, 0): B},
             g={0: r.uniform(0.0, 2.0, d)},
             forcing={0: ConstantForcing(r.uniform(0.0, 1.0, d))},
             steps={0: 60},
@@ -258,8 +257,8 @@ def test_second_order_factorization_matches_reference():
     p = variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
         operators={0: np.array([[-omega ** 2]])},
-        B1=TransmissionOperator({}),
-        B2=TransmissionOperator({}),
+        B1={},
+        B2={},
         g1={0: np.array([x0], dtype=complex)},
         g2={0: np.array([v0 - 1j * omega * x0], dtype=complex)},
         steps={0: steps},

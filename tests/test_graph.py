@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from chronograph import graph
 from chronograph.graph import (BlockPattern, TimeGraph, classify_solvability,
                                pattern_of)
-from chronograph.problem import TransmissionOperator
 
 
 def test_time_graph_size_and_offsets():
@@ -84,9 +83,9 @@ def test_pattern_normalizes_numpy_indices():
 
 def test_pattern_of_keeps_every_block_with_a_nonzero_entry():
     g = TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 1, 1: 1})
-    B = TransmissionOperator({(1, 0): np.array([[1.0]]),
-                              (0, 0): np.array([[1e-13]]),
-                              (0, 1): np.array([[0.0]])})
+    B = {(1, 0): np.array([[1.0]]),
+         (0, 0): np.array([[1e-13]]),
+         (0, 1): np.array([[0.0]])}
     assert pattern_of(B, g).nonzero == frozenset({(1, 0), (0, 0)})
 
 

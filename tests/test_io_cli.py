@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from chronograph import cli, matfun, problem_io, scenarios, solver
-from chronograph.problem import (ConstantForcing, SampledForcing,
-                                 TransmissionOperator, ZeroForcing)
+from chronograph.problem import ConstantForcing, SampledForcing, ZeroForcing
 from chronograph.problem_io import (ProblemFileError, atomic_write,
                                     canonical_json, format_number,
                                     load_problem_dict, load_problem_file,
@@ -140,9 +139,9 @@ def test_problem_round_trip_preserves_model():
         assert p1.graph == p2.graph
         for e in p1.graph.edges:
             assert np.array_equal(p1.operators[e], p2.operators[e])
-        assert set(p1.B.blocks) == set(p2.B.blocks)
-        for k in p1.B.blocks:
-            assert np.array_equal(p1.B.blocks[k], p2.B.blocks[k])
+        assert set(p1.B) == set(p2.B)
+        for k in p1.B:
+            assert np.array_equal(p1.B[k], p2.B[k])
 
 
 def test_emitted_document_is_byte_stable():
@@ -189,7 +188,7 @@ def per_entry_problem_to_dict(problem, mode, options):
     pos = {e: k for k, e in enumerate(gr.edges)}
     blocks = [{"from": j, "to": i,
                "matrix": [[real(x) for x in row] for row in m]}
-              for (i, j), m in sorted(problem.B.blocks.items(),
+              for (i, j), m in sorted(problem.B.items(),
                                       key=lambda kv: (pos[kv[0][0]],
                                                       pos[kv[0][1]]))]
     doc = {"edges": edges, "blocks": blocks, "mode": mode}
@@ -228,7 +227,7 @@ def test_problem_to_dict_refuses_complex_data_as_the_per_entry_writer(where):
         "g": {"g": {0: [1.0 + tiny]}},
         "constant": {"forcing": {0: ConstantForcing([tiny])}},
         "samples": {"forcing": {0: SampledForcing([0.0, tiny])}},
-        "block": {"B": TransmissionOperator({(0, 0): [[tiny]]})}}[where]
+        "block": {"B": {(0, 0): [[tiny]]}}}[where]
     problem = dataclasses.replace(problem, **change)
     for write in (problem_to_dict, per_entry_problem_to_dict):
         with pytest.raises(ValueError,
@@ -261,11 +260,11 @@ def test_solution_csv_layout():
 def test_solution_csv_pads_mixed_dimensions():
     from chronograph import solver
     from chronograph.graph import TimeGraph
-    from chronograph.problem import TimeGraphProblem, TransmissionOperator
+    from chronograph.problem import TimeGraphProblem
     p = TimeGraphProblem(
         graph=TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 1, 1: 2}),
         operators={0: -np.eye(1), 1: -np.eye(2)},
-        B=TransmissionOperator({}),
+        B={},
         g={0: np.ones(1), 1: np.ones(2)},
         steps={0: 2, 1: 2},
     )
@@ -951,6 +950,23 @@ def test_cli_compare_breach_exits_three(tmp_path):
     doc = json.loads((tmp_path / "compare.json").read_text())
     assert doc["within_tolerance"] is False
     assert 1.5 < doc["convergence_order"] < 2.5
+
+
+def test_cli_compare_refuses_a_singular_crank_nicolson_step(tmp_path,
+                                                            capsys):
+    """h = 1/2 and A = 4 make I - hA/2 exactly singular on the 2-step
+    reference grid: one error line names the edge and the option, and no
+    warning is emitted (warnings are errors in this suite)."""
+    doc = {"edges": [scalar_edge(0, 4.0, g=1.0, steps=1)],
+           "blocks": [{"from": 0, "to": 0, "matrix": [[0.5]]}]}
+    path = make_problem_file(tmp_path, doc)
+    assert cli.main(["compare", path, "--cn-steps", "2",
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: edge 0 of length 1.0: the Crank-Nicolson step map is "
+        "singular or not finite at 2 steps per edge; choose another "
+        "cn_steps (--cn-steps)\n")
+    assert not (tmp_path / "compare.json").exists()
 
 
 def test_cli_compare_reports_divergent_iteration(tmp_path):

@@ -6,7 +6,7 @@ from chronograph import matfun, oracle, scenarios, solver
 from chronograph.graph import (GLOBAL_ONLY, BlockPattern, classify_solvability,
                                pattern_of)
 from chronograph.problem import (ConstantForcing, SampledForcing,
-                                 TimeGraphProblem, TransmissionOperator,
+                                 TimeGraphProblem, block_product,
                                  forcing_node_values, stack_edge_values,
                                  validate)
 from chronograph.graph import TimeGraph
@@ -61,7 +61,7 @@ def per_edge_cn_solve(problem, steps_per_edge):
         F_parts[e] = u
 
     M = np.eye(gr.size(), dtype=complex)
-    for (i, j), m in problem.B.blocks.items():
+    for (i, j), m in problem.B.items():
         M[off[i]:off[i] + gr.dims[i], off[j]:off[j] + gr.dims[j]] -= \
             m @ terminal[j]
     rcond = matfun.rcond_identity_scale(M)
@@ -69,7 +69,7 @@ def per_edge_cn_solve(problem, steps_per_edge):
         raise NotWellPosed(rcond)
     g = stack_edge_values(gr, problem.g)
     F_tilde = np.concatenate([F_parts[e] for e in gr.edges])
-    c = np.linalg.solve(M, g + problem.B.apply(gr, F_tilde))
+    c = np.linalg.solve(M, g + block_product(gr, problem.B, F_tilde))
 
     solutions = {}
     for e in gr.edges:
@@ -106,8 +106,7 @@ def mixed_problem(dims, seed):
     return TimeGraphProblem(
         TimeGraph(edges, {e: float(rng.uniform(0.3, 1.7)) for e in edges}, d),
         {e: cplx(d[e], d[e]) - 2.0 * np.eye(d[e]) for e in edges},
-        TransmissionOperator({(i, j): 0.4 * cplx(d[i], d[j]) / d[j]
-                              for i, j in pairs}),
+        {(i, j): 0.4 * cplx(d[i], d[j]) / d[j] for i, j in pairs},
         {edges[0]: cplx(d[edges[0]])}, forcing, steps)
 
 
@@ -165,7 +164,7 @@ def test_reference_solver_detects_singular_boundary():
     p = TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}),
         {0: np.zeros((1, 1))},
-        TransmissionOperator({(0, 0): np.array([[1.0]])}),
+        {(0, 0): np.array([[1.0]])},
         {0: np.array([1.0])})
     with pytest.raises(solver.NotWellPosed):
         oracle.cn_solve(p, 100)
@@ -173,7 +172,7 @@ def test_reference_solver_detects_singular_boundary():
 
 def test_reference_solver_validates_input():
     p = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 1}), {},
-                         TransmissionOperator({}))
+                         {})
     with pytest.raises(ValueError):
         oracle.cn_solve(p, 100)
 
@@ -192,7 +191,7 @@ def test_picard_raises_on_expanding_loop():
     p = TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}),
         {0: np.zeros((1, 1))},
-        TransmissionOperator({(0, 0): np.array([[1.5]])}),
+        {(0, 0): np.array([[1.5]])},
         {0: np.array([1.0])})
     report = solver.solve(p)
     with pytest.raises(oracle.PicardDivergence) as err:

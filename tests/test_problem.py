@@ -9,11 +9,11 @@ from hypothesis import example, given, strategies as st
 from chronograph import matfun
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, SampledForcing,
-                                 TimeGraphProblem, TransmissionOperator,
-                                 block_norm, diagnose, forcing_node_values,
+                                 TimeGraphProblem, block_norm, block_product,
+                                 diagnose, forcing_node_values,
                                  numerical_abscissa, stack_edge_values,
                                  validate)
-from chronograph.solver import assemble_monodromy
+from chronograph.solver import assemble_monodromy, solve
 from conftest import dense_B
 
 
@@ -22,8 +22,7 @@ def scalar_problem(A=-1.0, B=1.0, g=None, f=1.0, steps=100, length=1.0):
     return TimeGraphProblem(
         graph=TimeGraph((0,), {0: length}, {0: 1}),
         operators={0: np.array([[A]])},
-        B=TransmissionOperator({(0, 0): np.array([[B]])} if B is not None
-                               else {}),
+        B={(0, 0): np.array([[B]])} if B is not None else {},
         g={0: np.array([g])} if g is not None else {},
         forcing=forcing,
         steps={0: steps},
@@ -52,7 +51,7 @@ def test_validate_collects_structural_violations():
     p = TimeGraphProblem(
         graph=TimeGraph((0, 0), {0: -1.0}, {0: 0}),
         operators={0: np.eye(2)},
-        B=TransmissionOperator({}),
+        B={},
     )
     msgs = "\n".join(validate(p))
     assert "duplicate" in msgs
@@ -62,8 +61,7 @@ def test_validate_collects_structural_violations():
 
 def test_validate_checks_operator_shape_and_presence():
     g = TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 2, 1: 1})
-    p = TimeGraphProblem(g, {0: np.eye(3), 7: np.eye(1)},
-                         TransmissionOperator({}))
+    p = TimeGraphProblem(g, {0: np.eye(3), 7: np.eye(1)}, {})
     assert validate(p) == ["operators[0].A: shape (3, 3) != (2, 2)",
                            "operators[7]: unknown edge",
                            "operators[1]: missing"]
@@ -72,11 +70,10 @@ def test_validate_checks_operator_shape_and_presence():
 def test_validate_checks_block_shapes_and_keys():
     g = TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 2, 1: 1})
     ops = {0: np.zeros((2, 2)), 1: np.zeros((1, 1))}
-    bad_shape = TimeGraphProblem(g, ops, TransmissionOperator(
-        {(0, 1): np.ones((1, 1))}))  # should be 2 x 1
+    bad_shape = TimeGraphProblem(
+        g, ops, {(0, 1): np.ones((1, 1))})  # should be 2 x 1
     assert any("B[0,1]" in m and "shape" in m for m in validate(bad_shape))
-    unknown = TimeGraphProblem(g, ops, TransmissionOperator(
-        {(7, 0): np.ones((1, 2))}))
+    unknown = TimeGraphProblem(g, ops, {(7, 0): np.ones((1, 2))})
     assert any("unknown" in m for m in validate(unknown))
 
 
@@ -96,8 +93,34 @@ def test_validate_checks_data_lengths():
 
 def test_validate_never_raises_on_junk():
     g = TimeGraph((0,), {0: 1.0}, {0: 1})
-    p = TimeGraphProblem(g, {}, TransmissionOperator({}), {0: np.array([1.0])})
+    p = TimeGraphProblem(g, {}, {}, {0: np.array([1.0])})
     assert isinstance(validate(p), list)
+
+
+NO_DIM = ["graph.dims[0]: must be >= 1"]
+
+
+@pytest.mark.parametrize("data, want", [
+    ({"operators": {0: [[-1.0]]}}, NO_DIM),
+    ({"B": {(0, 0): [[0.5]]}}, NO_DIM + ["operators[0]: missing"]),
+    ({"g": {0: [1.0]}}, NO_DIM + ["operators[0]: missing"]),
+    ({"forcing": {0: ConstantForcing([1.0])}},
+     NO_DIM + ["operators[0]: missing"]),
+    ({"forcing": {0: SampledForcing(np.zeros((101, 1)))}},
+     NO_DIM + ["operators[0]: missing"]),
+    ({"graph": TimeGraph((), {}, {})}, ["graph.edges: must not be empty"]),
+], ids=["operator", "block", "g", "constant", "samples", "empty"])
+def test_validate_lists_a_missing_dim_or_edge_and_solve_refuses_it(data,
+                                                                    want):
+    """An edge without a dim is one violation, and none of its shape checks
+    runs; a graph without edges is one too.  solve raises the list before
+    it sizes anything."""
+    p = TimeGraphProblem(**{"graph": TimeGraph((0,), {0: 1.0}, {}),
+                            "operators": {}, "B": {}, **data})
+    assert validate(p) == want
+    with pytest.raises(ValueError) as raised:
+        solve(p)
+    assert str(raised.value) == "invalid problem: " + "; ".join(want)
 
 
 def test_forcing_node_values_constant_and_zero(monkeypatch):
@@ -150,13 +173,13 @@ def test_stack_edge_values_defaults_to_zero():
 
 def test_transmission_assembly_and_norm():
     g = TimeGraph((0, 1), {0: 1.0, 1: 1.0}, {0: 1, 1: 2})
-    B = TransmissionOperator({(1, 0): np.array([[1.0], [2.0]]),
-                              (0, 0): np.array([[0.5]])})
+    B = {(1, 0): np.array([[1.0], [2.0]]),
+         (0, 0): np.array([[0.5]])}
     dense = dense_B(g, B)
     assert dense.shape == (3, 3)
     assert dense[0, 0] == 0.5
     assert np.allclose(dense[1:, 0], [1.0, 2.0])
-    norm, = block_norm(g, B.blocks)
+    norm, = block_norm(g, B)
     assert abs(norm - np.linalg.norm(dense, 2)) <= 1e-14
 
 
@@ -165,12 +188,12 @@ def test_block_norm_matches_dense_norm(n, density, seed):
     r = np.random.default_rng(seed)
     dims = {e: int(r.integers(1, 4)) for e in range(n)}
     g = TimeGraph(tuple(range(n)), {e: 1.0 for e in range(n)}, dims)
-    B = TransmissionOperator({
+    B = {
         (i, j): r.standard_normal((dims[i], dims[j]))
         + 1j * r.standard_normal((dims[i], dims[j]))
-        for i in range(n) for j in range(n) if r.random() < density})
+        for i in range(n) for j in range(n) if r.random() < density}
     dense = np.linalg.norm(dense_B(g, B), 2)
-    norm, = block_norm(g, B.blocks)
+    norm, = block_norm(g, B)
     assert abs(norm - dense) <= 1e-13 * max(dense, 1.0)
 
 
@@ -182,14 +205,14 @@ def bidiagonal_blocks(m):
                   {e: 1 for e in range(m)})
     blocks = {(k, j): np.array([[r.standard_normal() + 1j]])
               for k in range(m) for j in (k, k - 1) if j >= 0}
-    return g, TransmissionOperator(blocks)
+    return g, blocks
 
 
 def full_block(d):
     """One edge of dimension d with a full random self-block."""
     r = np.random.default_rng(d)
     g = TimeGraph((0,), {0: 1.0}, {0: d})
-    return g, TransmissionOperator({(0, 0): r.standard_normal((d, d))})
+    return g, {(0, 0): r.standard_normal((d, d))}
 
 
 def block_ring(above):
@@ -205,7 +228,7 @@ def block_ring(above):
     if above:
         blocks[0, 2] = np.zeros((32, 32))
         blocks[0, 2][0, 0] = 1.0
-    return g, TransmissionOperator(blocks)
+    return g, blocks
 
 
 N = matfun.DENSE_BOUNDARY_MAX
@@ -227,7 +250,7 @@ def test_block_norm_takes_lanczos_for_large_sparse_components_only(
     Lanczos side, which returns 0.0 for it without ARPACK."""
     g, B = build(arg)
     n = g.size()
-    zero = {key: np.zeros_like(m) for key, m in B.blocks.items()}
+    zero = {key: np.zeros_like(m) for key, m in B.items()}
     shapes = []
     svd_shapes = []
 
@@ -242,7 +265,7 @@ def test_block_norm_takes_lanczos_for_large_sparse_components_only(
     want = np.linalg.norm(dense_B(g, B), 2)
     monkeypatch.setattr(matfun, "lanczos_sigma_max", recorded)
     monkeypatch.setattr(numpy.linalg._linalg, "svd", recorded_svd)
-    norm, zero_norm = block_norm(g, B.blocks, zero)
+    norm, zero_norm = block_norm(g, B, zero)
     assert abs(norm - want) <= 1e-12 * want
     assert zero_norm == 0.0
     sparse_zero = n >= N
@@ -269,13 +292,13 @@ def block_patterns(draw):
 def test_apply_matches_the_dense_product(pattern, seed):
     g, pairs = pattern
     r = np.random.default_rng(seed)
-    B = TransmissionOperator({
+    B = {
         (i, j): r.standard_normal((g.dims[i], g.dims[j]))
         + 1j * r.standard_normal((g.dims[i], g.dims[j]))
-        for i, j in pairs})
+        for i, j in pairs}
     x = r.standard_normal(g.size()) + 1j * r.standard_normal(g.size())
     dense = dense_B(g, B)
-    got = B.apply(g, x)
+    got = block_product(g, B, x)
     want = dense @ x
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= \
@@ -325,9 +348,9 @@ def test_block_norm_of_sets_on_one_pattern_matches_each_alone_at_lanczos(
     matfun.block_matrix's rule: the diagonals of full blocks are sparse
     where the blocks are dense."""
     g, B = build(arg)
-    diagonals = {k: np.diag(np.diag(m)) for k, m in B.blocks.items()}
-    assert_norms_walk_once(g, B.blocks, diagonals)
-    assert_norms_walk_once(g, diagonals, B.blocks)
+    diagonals = {k: np.diag(np.diag(m)) for k, m in B.items()}
+    assert_norms_walk_once(g, B, diagonals)
+    assert_norms_walk_once(g, diagonals, B)
 
 
 def diagnose_alone(problem):

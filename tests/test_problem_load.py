@@ -586,7 +586,7 @@ def _loads_as_given(doc, problem):
         assert np.array_equal(problem.forcing[e["id"]].value,
                               given(e["f"]["value"], (d,)))
     for b in doc["blocks"]:
-        m = problem.B.blocks[b["to"], b["from"]]
+        m = problem.B[b["to"], b["from"]]
         assert np.array_equal(m, given(b["matrix"], m.shape))
 
 

@@ -19,9 +19,8 @@ from chronograph import (cli, matfun, oracle, problem_io, scenarios, solver,
 from chronograph import problem as problem_module
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, SampledForcing,
-                                 TimeGraphProblem, TransmissionOperator,
-                                 diagnose, forcing_node_values,
-                                 stack_edge_values)
+                                 TimeGraphProblem, diagnose,
+                                 forcing_node_values, stack_edge_values)
 from conftest import dense_B, preset
 
 
@@ -31,7 +30,7 @@ def ivp_problem(A, g0, f=None, length=1.0, steps=100):
     return TimeGraphProblem(
         graph=TimeGraph((0,), {0: length}, {0: d}),
         operators={0: A},
-        B=TransmissionOperator({}),
+        B={},
         g={0: np.asarray(g0)},
         forcing=forcing,
         steps={0: steps},
@@ -93,11 +92,11 @@ def test_step_count_invariance_for_piecewise_linear_forcing():
     fine_nodes = np.linspace(0.0, 1.0, 101)[:, None]
     coarse = solver.solve(TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}), {0: A},
-        TransmissionOperator({}), {0: np.array([1.0])},
+        {}, {0: np.array([1.0])},
         {0: SampledForcing(0.5 + 2.0 * coarse_nodes)}, {0: 25}))
     fine = solver.solve(TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}), {0: A},
-        TransmissionOperator({}), {0: np.array([1.0])},
+        {}, {0: np.array([1.0])},
         {0: SampledForcing(0.5 + 2.0 * fine_nodes)}, {0: 100}))
     assert np.max(np.abs(coarse.solutions[0].states
                          - fine.solutions[0].states[::4])) <= 1e-13
@@ -105,7 +104,7 @@ def test_step_count_invariance_for_piecewise_linear_forcing():
 
 def test_solve_rejects_invalid_problem():
     p = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 1}), {},
-                         TransmissionOperator({}))
+                         {})
     with pytest.raises(ValueError):
         solver.solve(p)
 
@@ -115,7 +114,7 @@ def test_singular_boundary_system_raises():
     p = TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}),
         {0: np.zeros((1, 1))},
-        TransmissionOperator({(0, 0): np.array([[1.0]])}),
+        {(0, 0): np.array([[1.0]])},
         {0: np.array([1.0])})
     with pytest.raises(solver.NotWellPosed) as err:
         solver.solve(p)
@@ -126,7 +125,7 @@ def test_near_singular_flagged_not_fatal():
     p = TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: 1}),
         {0: np.zeros((1, 1))},
-        TransmissionOperator({(0, 0): np.array([[1.0 - 1e-9]])}),
+        {(0, 0): np.array([[1.0 - 1e-9]])},
         {0: np.array([1.0])})
     rep = solver.solve(p)
     assert rep.ill_conditioned
@@ -162,7 +161,7 @@ def test_blockwise_monodromy_matches_the_dense_product(n, seed):
     blocks = {(i, j): rng.standard_normal((dims[i], dims[j]))
               for i in edges for j in edges if rng.random() < 0.4}
     p = TimeGraphProblem(TimeGraph(edges, lengths, dims), ops,
-                         TransmissionOperator(blocks))
+                         blocks)
     mono = solver.assemble_monodromy(p)
     want = dense_monodromy(p)
     scale = max(1.0, float(np.max(np.abs(want))))
@@ -218,7 +217,7 @@ def test_scan_matches_sequential_recurrence(d, K, growth, seed):
     samples = rng.standard_normal((K + 1, d))
     p = TimeGraphProblem(
         TimeGraph((0,), {0: 1.0}, {0: d}), {0: A},
-        TransmissionOperator({}), {0: rng.standard_normal(d)},
+        {}, {0: rng.standard_normal(d)},
         {0: SampledForcing(samples)}, {0: K})
     got = solver.solve(p).solutions[0].states
     want = sequential_states(p, 0, got[0])
@@ -263,7 +262,7 @@ def test_overflowing_step_operator_names_the_edge():
     p = TimeGraphProblem(
         TimeGraph(("a",), {"a": 10.0}, {"a": 1}),
         {"a": [[80.0]]},
-        TransmissionOperator({}), {"a": np.array([1.0])}, steps={"a": 1})
+        {}, {"a": np.array([1.0])}, steps={"a": 1})
     with pytest.raises(ValueError, match=r"^edge 'a' \(length 10\.0\): "
                        r"a step operator for h = 10\.0 is not finite$"):
         solver.edge_recurrences(p)
@@ -273,7 +272,7 @@ def test_overflowing_step_exponent_names_the_edge():
     p = TimeGraphProblem(
         TimeGraph(("a",), {"a": 1e10}, {"a": 1}),
         {"a": [[-1e300]]},
-        TransmissionOperator({}), {"a": np.array([1.0])}, steps={"a": 1})
+        {}, {"a": np.array([1.0])}, steps={"a": 1})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError) as step:
@@ -295,7 +294,7 @@ def test_every_dim_group_exponent_is_checked_before_any_exponential():
     p = TimeGraphProblem(
         TimeGraph(("a", "b"), {"a": 10.0, "b": 1e10}, {"a": 1, "b": 2}),
         {"a": [[80.0]], "b": [[-1e300, 0.0], [0.0, -1.0]]},
-        TransmissionOperator({}), {"a": np.array([1.0])},
+        {}, {"a": np.array([1.0])},
         steps={"a": 1, "b": 1})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -684,7 +683,7 @@ def boundary_problem(size, ring, extra, delta, seed):
     return TimeGraphProblem(
         TimeGraph(edges, lengths, d),
         {e: ops[e] for e in edges},
-        TransmissionOperator(blocks), {0: rng.standard_normal(d[0])},
+        blocks, {0: rng.standard_normal(d[0])},
         forcing, {e: 4 for e in edges})
 
 

@@ -11,8 +11,7 @@ from hypothesis import assume, given, strategies as st
 from chronograph import cli, matfun, problem_io, scenarios, solver, variants
 from chronograph.graph import TimeGraph
 from chronograph.problem import (ConstantForcing, TimeGraphProblem,
-                                 TransmissionOperator, forcing_node_values,
-                                 stack_edge_values)
+                                 forcing_node_values, stack_edge_values)
 from chronograph.matfun import NotHermitian
 from conftest import dense_B, preset
 
@@ -28,7 +27,7 @@ def oscillatory_ivp(H, g0, length=1.0, steps=200):
     return TimeGraphProblem(
         graph=TimeGraph((0,), {0: length}, {0: d}),
         operators={0: H},
-        B=TransmissionOperator({}),
+        B={},
         g={0: np.asarray(g0, dtype=complex)},
         steps={0: steps},
     )
@@ -60,7 +59,7 @@ def test_oscillatory_rejects_asymmetric_operator():
     base = TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 2}),
         operators={0: np.array([[0.0, 1.0], [0.0, 0.0]])},
-        B=TransmissionOperator({}),
+        B={},
         g={0: np.zeros(2)},
     )
     with pytest.raises(NotHermitian):
@@ -101,7 +100,7 @@ def test_schrodinger_generators_are_exactly_skew_hermitian(tmp_path):
                                           + 1j * r.standard_normal((5, 5)))
     assert 0.0 < np.linalg.norm(A - A.conj().T, 2) <= 1e-12
     nearly = TimeGraphProblem(TimeGraph((0,), {0: 1.0}, {0: 5}),
-                              {0: A}, TransmissionOperator({}))
+                              {0: A}, {})
     for base in (problem, nearly):
         effective = variants.schrodinger_effective(base)
         for e in base.graph.edges:
@@ -133,7 +132,7 @@ def test_unitarity_holds_for_matched_cosine_coupling():
     base = TimeGraphProblem(
         graph=TimeGraph((0,), {0: a}, {0: 3}),
         operators={0: H},
-        B=TransmissionOperator({(0, 0): B}),
+        B={(0, 0): B},
         g={0: np.ones(3)},
     )
     rep = unitarity(base)
@@ -147,7 +146,7 @@ def test_unitarity_counterexample_quarter_period():
     base = TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
         operators={0: np.array([[math.pi / 2.0]])},
-        B=TransmissionOperator({(0, 0): np.array([[1.0]])}),
+        B={(0, 0): np.array([[1.0]])},
         g={0: np.ones(1)},
     )
     rep = unitarity(base)
@@ -163,7 +162,7 @@ def test_unitarity_gate_rejects_non_commuting_coupling():
     base = TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 2}),
         operators={0: H},
-        B=TransmissionOperator({(0, 0): B}),
+        B={(0, 0): B},
         g={0: np.zeros(2)},
     )
     with pytest.raises(variants.NonCommuting):
@@ -258,7 +257,7 @@ def shared_hamiltonian_problem(d, n, kind, seed):
     return TimeGraphProblem(
         graph=TimeGraph(edges, lengths, {e: d for e in edges}),
         operators={e: H for e in edges},
-        B=TransmissionOperator(blocks),
+        B=blocks,
         g={0: np.ones(d)},
     )
 
@@ -307,8 +306,7 @@ def test_unitarity_defect_of_a_300_edge_chain_is_normed_by_lanczos(
     gr = TimeGraph(edges, {e: 1.0 for e in edges}, {e: 1 for e in edges})
     base = TimeGraphProblem(
         gr, {e: [[-0.7]] for e in edges},
-        TransmissionOperator({(k, k - 1): [[rng.uniform(0.5, 1.0)]]
-                              for k in edges[1:]}),
+        {(k, k - 1): [[rng.uniform(0.5, 1.0)]] for k in edges[1:]},
         {0: np.ones(1)})
     effective = variants.schrodinger_effective(base)
     report = solver.solve(effective)
@@ -367,8 +365,8 @@ def oscillator_problem(omega, x0, v0, steps=2000):
     return variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
         operators={0: np.array([[-omega ** 2]])},
-        B1=TransmissionOperator({}),
-        B2=TransmissionOperator({}),
+        B1={},
+        B2={},
         g1={0: np.array([x0], dtype=complex)},
         g2={0: np.array([v0 - 1j * omega * x0], dtype=complex)},
         steps={0: steps},
@@ -392,8 +390,8 @@ def test_second_order_diagonal_system():
     p = variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 2}),
         operators={0: A},
-        B1=TransmissionOperator({}),
-        B2=TransmissionOperator({}),
+        B1={},
+        B2={},
         g1={0: np.array([1.0, -1.0], dtype=complex)},
         g2={0: -1j * omegas * np.array([1.0, -1.0])},
         steps={0: 1500},
@@ -409,7 +407,7 @@ def test_second_order_rejects_singular_operator():
     p = variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
         operators={0: np.zeros((1, 1))},
-        B1=TransmissionOperator({}), B2=TransmissionOperator({}),
+        B1={}, B2={},
         g1={0: np.zeros(1)}, g2={0: np.zeros(1)},
     )
     with pytest.raises(ValueError):
@@ -423,8 +421,8 @@ def test_second_order_singular_stage_reports_which():
     p = variants.SecondOrderProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 1}),
         operators={0: np.array([[-omega ** 2]])},
-        B1=TransmissionOperator({}),
-        B2=TransmissionOperator({(0, 0): np.array([[1.0]])}),
+        B1={},
+        B2={(0, 0): np.array([[1.0]])},
         g1={0: np.zeros(1)}, g2={0: np.zeros(1)},
         steps={0: 100},
     )
@@ -438,8 +436,8 @@ def positive_problem():
     return TimeGraphProblem(
         graph=TimeGraph((0,), {0: 1.0}, {0: 2}),
         operators={0: A},
-        B=TransmissionOperator({(0, 0): np.array([[0.4, 0.1],
-                                                  [0.0, 0.3]])}),
+        B={(0, 0): np.array([[0.4, 0.1],
+                             [0.0, 0.3]])},
         g={0: np.array([1.0, 0.5])},
         forcing={0: ConstantForcing(np.array([1.0, 0.2]))},
     )
@@ -468,7 +466,7 @@ def test_mapping_properties_flag_negative_coupling():
     p = positive_problem()
     q = TimeGraphProblem(
         p.graph, p.operators,
-        TransmissionOperator({(0, 0): np.array([[-0.4, 0.0], [0.0, 0.3]])}),
+        {(0, 0): np.array([[-0.4, 0.0], [0.0, 0.3]])},
         dict(p.g), p.forcing, p.steps)
     rep = variants.verify_mapping_properties(solver.solve(q), q)
     assert "B_entrywise_nonnegative" in rep.failed_hypotheses
