@@ -9,7 +9,6 @@ on complex arrays; real inputs are promoted.
 from functools import partial
 
 import numpy as np
-import scipy.linalg as la
 
 # Hard singularity threshold for linear solves (reciprocal 2-norm condition).
 SINGULARITY_RCOND = 1e-14
@@ -20,6 +19,9 @@ HERMITIAN_TOL = 1e-10
 # of the entries are nonzero, dense otherwise, where one SVD is about as fast
 # (crossover measured in CHANGES.md).  scipy.sparse is imported only by the
 # sparse side: importing it costs every start-up about 30 ms and 4 MB.
+# scipy.linalg, about 250-330 ms, is likewise imported only inside the
+# functions that call it, so classify, which calls no matrix function, never
+# imports scipy.
 DENSE_BOUNDARY_MAX = 256
 
 
@@ -56,6 +58,7 @@ def expm(A):
                          f"got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite entries in matrix exponential input")
+    import scipy.linalg as la
     return la.expm(A)
 
 
@@ -109,6 +112,7 @@ def solve_linear(M, rhs):
     rc = rcond_estimate(M)
     if rc < SINGULARITY_RCOND:
         raise SingularMatrix(rc)
+    import scipy.linalg as la
     X = la.solve(M, rhs)
     return X, rc
 
@@ -147,6 +151,7 @@ def factorize(M):
     factor's solves.  A zero pivot gives sigma_min = 0 and a solve that
     raises SingularMatrix; an overflowing inverse, sigma_min 0 or NaN."""
     if isinstance(M, np.ndarray):
+        import scipy.linalg as la
         sv = np.linalg.svd(M, compute_uv=False)
         return float(sv[-1]), float(sv[0]), partial(la.solve, M)
     import scipy.sparse.linalg as spla  # the sparse side only

@@ -12,7 +12,6 @@ are reproducible from the command line.
 import warnings
 
 import numpy as np
-import scipy.linalg as la
 from numpy import matvec
 
 from . import matfun, solver
@@ -62,6 +61,7 @@ def cn_solve(problem, steps_per_edge):
     size.  A singular or non-finite step map raises ValueError naming its
     edge, and a numerically singular I - B E~ raises NotWellPosed.
     """
+    import scipy.linalg as la
     violations = validate(problem)
     if violations:
         raise ValueError("invalid problem: " + "; ".join(violations))

@@ -14,10 +14,12 @@ byte-stable under a load/emit round trip.
 """
 
 import functools
+import gc
 import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 from importlib import resources
 from json.encoder import encode_basestring as _quote
@@ -453,14 +455,37 @@ def load_problem_dict(doc):
 
 
 def load_problem_file(path):
+    """load_problem_dict of the JSON document at path.  A file that cannot
+    be read or decoded raises ProblemFileError naming the path.  The cyclic
+    garbage collector is paused while the file loads: the load allocates
+    many containers that outlive it, and collecting passes over them would
+    find next to no garbage."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return load_problem_dict(_read_json(path))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ProblemFileError([f"cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError([f"{path}: invalid JSON: {exc}"]) from exc
-    return load_problem_dict(doc)
+    except (ValueError, RecursionError) as exc:
+        if isinstance(exc, json.JSONDecodeError):
+            why = str(exc)
+        elif isinstance(exc, UnicodeDecodeError):
+            why = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        elif isinstance(exc, RecursionError):
+            why = "arrays or objects nested too deeply"
+        else:  # int(): the only other ValueError json.load raises
+            why = (f"an integer of more than "
+                   f"{sys.get_int_max_str_digits()} digits")
+        raise ProblemFileError([f"{path}: invalid JSON: {why}"]) from exc
 
 
 def problem_to_dict(problem, mode, options):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -128,6 +129,54 @@ def test_load_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ProblemFileError):
         load_problem_file(str(bad))
+
+
+@pytest.mark.parametrize("data, why", [
+    (b"[" * 200_000 + b"]" * 200_000, "arrays or objects nested too deeply"),
+    (b'{"edges": [{"id": 0, "length": 1, "dim": 1, "A": '
+     + b"[" * 990 + b"-1" + b"]" * 990 + b"}]}",
+     "arrays or objects nested too deeply"),
+    (b'\xff\xfe{"edges": []}',
+     "not UTF-8 text (invalid start byte at byte 0)"),
+    (b'{"edges": [{"id": ' + b"1" * 5000 + b"}]}",
+     "an integer of more than 4300 digits"),
+], ids=["nested-arrays", "nested-matrix", "not-utf-8", "long-integer"])
+def test_cli_undecodable_file_exits_one_naming_it(tmp_path, capsys, data,
+                                                  why):
+    path = tmp_path / "problem.json"
+    path.write_bytes(data)
+    assert cli.main(["classify", str(path)]) == 1
+    assert one_error_line(capsys) == f"{path}: invalid JSON: {why}"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("doc, refused", [(MINIMAL, False),
+                                          ({"edges": []}, True)],
+                         ids=["loads", "refused"])
+def test_load_problem_file_pauses_and_restores_the_garbage_collector(
+        tmp_path, monkeypatch, doc, refused, enabled):
+    path = make_problem_file(tmp_path, doc)
+    load = problem_io.load_problem_dict
+    paused = []
+
+    def spy(doc):
+        paused.append(not gc.isenabled())
+        return load(doc)
+
+    monkeypatch.setattr(problem_io, "load_problem_dict", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if refused:
+            with pytest.raises(ProblemFileError):
+                load_problem_file(path)
+        else:
+            load_problem_file(path)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True]
+    assert after is enabled
 
 
 def test_problem_round_trip_preserves_model():

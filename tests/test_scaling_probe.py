@@ -8,11 +8,11 @@ TOOL = pathlib.Path(__file__).parent.parent / "tools" / "scaling_probe.py"
 
 def test_scaling_probe_prints_one_row_per_stage():
     """A 200-edge ring through the probe: the title, the column header, the
-    stages in order with one call each and their time per edge, and the
-    memory line."""
+    stages in order with one call each and their time per edge, the
+    memory line and the start-up line."""
     out = subprocess.run([sys.executable, str(TOOL), "200"], check=True,
                          capture_output=True, text=True).stdout
-    title, header, *rows, rss, blank, end = out.split("\n")
+    title, header, *rows, rss, start, blank, end = out.split("\n")
     assert title == "ring of 200 scalar edges, 20 steps, seed 0: exit 0"
     assert re.split(r"\s{2,}", header) == ["stage", "calls", "total s",
                                            "per edge us"]
@@ -32,4 +32,6 @@ def test_scaling_probe_prints_one_row_per_stage():
     assert stages <= float(cells[-1][2]) + 1e-3
     assert re.fullmatch(r"ru_maxrss growth: \d+\.\d MB, \d+\.\d\d kB per "
                         r"edge", rss)
+    assert re.fullmatch(r"import chronograph: \d+\.\d{4} s", start)
+    assert float(start.split()[2]) > 0
     assert blank == end == ""

@@ -19,7 +19,8 @@ from:
 
 It prints one table per size: each stage's calls and wall time, in total
 and per edge, and below it the growth of ru_maxrss over the request, in
-total and per edge. The target is a flat per-edge column from 10^3 to 10^5
+total and per edge, and the wall time of `import chronograph` in that
+interpreter (after the probe's own standard-library imports). The target is a flat per-edge column from 10^3 to 10^5
 edges. The probe measures; it has no gate. chronograph and perfbench's
 workloads are imported from the checkout (default: the one this script
 lives in), and nothing under perfbench/ is written to.
@@ -61,8 +62,10 @@ def _timed(totals, name, fn):
 def measure(warmup, path, out_dir):
     """Stage times and ru_maxrss growth (kB) of one run_solve on path, after
     one on warmup, with each stage patched under every name a chronograph
-    module binds it to."""
+    module binds it to, and the wall time of importing chronograph."""
+    start = time.perf_counter()
     import chronograph
+    import_s = time.perf_counter() - start
 
     with contextlib.redirect_stdout(io.StringIO()):
         chronograph.run_solve(warmup, out_dir)
@@ -82,7 +85,8 @@ def measure(warmup, path, out_dir):
     with contextlib.redirect_stdout(io.StringIO()):
         code = sys.modules["chronograph.cli"].run_solve(path, out_dir)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"exit": code, "stages": totals, "rss_kb": after - before}
+    return {"exit": code, "stages": totals, "rss_kb": after - before,
+            "import_s": import_s}
 
 
 def table(n, result):
@@ -101,6 +105,7 @@ def table(n, result):
     kb = result["rss_kb"]
     lines.append(f"ru_maxrss growth: {kb / 1024:.1f} MB, "
                  f"{kb / n:.2f} kB per edge")
+    lines.append(f"import chronograph: {result['import_s']:.4f} s")
     return "\n".join(lines)
 
 
